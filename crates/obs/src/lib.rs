@@ -35,7 +35,10 @@ pub use attribution::{
     ATTR_STORAGE_US, ATTR_WAIT_US, ELEMENT_SPAN,
 };
 pub use export::{chrome_trace, chrome_trace_to_writer, text_timeline, validate_json};
-pub use metrics::{Histogram, MetricsRegistry, BYTES_BUCKETS, LATENCY_BUCKETS_US, MAX_BUCKETS};
+pub use metrics::{
+    CounterId, GaugeId, Histogram, HistogramId, MetricsRegistry, BYTES_BUCKETS, LATENCY_BUCKETS_US,
+    MAX_BUCKETS,
+};
 pub use tracer::{
     merge_snapshots, micros, micros_of, AttrValue, Category, RecordKind, SpanId, TraceRecord,
     TraceSnapshot, Tracer, DEFAULT_TRACE_CAPACITY,

@@ -1,6 +1,6 @@
 //! A registry of named counters, gauges and fixed-bucket histograms.
 //!
-//! Everything is integer-valued and stored in `BTreeMap`s, so a rendered
+//! Everything is integer-valued and read back in name order, so a rendered
 //! snapshot is deterministic: same run, same bytes. Histograms use *fixed*
 //! bucket boundaries declared by the observer — the classic
 //! monitoring-system trade: O(buckets) memory, exact counts per bucket,
@@ -156,6 +156,77 @@ impl Histogram {
     }
 }
 
+/// One kind of metric (counters, gauges or histograms): every name ever
+/// registered, and a value cell per name.
+///
+/// A cell is `None` from registration until its first write, and a `None`
+/// cell does not exist as far as any reader can tell — iteration, lookup
+/// by name, rendering and equality all skip it. So registering a name up
+/// front changes nothing a run can observe; it only buys the handle.
+#[derive(Debug, Clone)]
+struct Family<V> {
+    /// Name → cell slot, for every registered name. Never shrinks, so a
+    /// handle stays valid for the life of the registry.
+    index: BTreeMap<String, usize>,
+    cells: Vec<Option<V>>,
+}
+
+impl<V> Default for Family<V> {
+    fn default() -> Family<V> {
+        Family {
+            index: BTreeMap::new(),
+            cells: Vec::new(),
+        }
+    }
+}
+
+impl<V> Family<V> {
+    /// The slot of `name`, registering it (unwritten) on first sight. Only
+    /// that first sight allocates.
+    fn slot(&mut self, name: impl Into<String> + AsRef<str>) -> usize {
+        if let Some(&slot) = self.index.get(name.as_ref()) {
+            return slot;
+        }
+        self.cells.push(None);
+        self.index.insert(name.into(), self.cells.len() - 1);
+        self.cells.len() - 1
+    }
+
+    /// The written value of `name`.
+    fn get(&self, name: &str) -> Option<&V> {
+        self.cells[*self.index.get(name)?].as_ref()
+    }
+
+    /// Written cells in name order.
+    fn iter(&self) -> impl Iterator<Item = (&str, &V)> + '_ {
+        self.index
+            .iter()
+            .filter_map(|(name, &slot)| Some((name.as_str(), self.cells[slot].as_ref()?)))
+    }
+
+    /// Returns every cell under `prefix` to the unwritten state.
+    fn clear_prefix(&mut self, prefix: &str) {
+        for (name, &slot) in &self.index {
+            if name.starts_with(prefix) {
+                self.cells[slot] = None;
+            }
+        }
+    }
+}
+
+/// Handle to a counter, from [`MetricsRegistry::register_counter`]. Valid
+/// on the registry that issued it and on its clones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(usize);
+
+/// Handle to a gauge, from [`MetricsRegistry::register_gauge`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugeId(usize);
+
+/// Handle to a histogram, from [`MetricsRegistry::register_histogram`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramId(usize);
+
 /// A registry of named counters, gauges and histograms.
 ///
 /// Names are strings with dotted paths (`"serve.elements.served"`) —
@@ -163,11 +234,33 @@ impl Histogram {
 /// per-shard prefixes (`"shard0.serve.elements.served"`) at runtime.
 /// Iteration and rendering are in name order, so a rendered registry is
 /// deterministic.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Two ways in, one storage. The name-taking methods look the name up on
+/// every call. A hot path registers its names once
+/// ([`MetricsRegistry::register_counter`] and friends) and then writes
+/// through the returned handle, which is an array index. Either way a
+/// metric becomes visible — to [`render`](MetricsRegistry::render), the
+/// iterators, [`merge_prefixed`](MetricsRegistry::merge_prefixed),
+/// [`flat_samples`](MetricsRegistry::flat_samples) and `==` — at its first
+/// write, a write of 0 included, and not at registration.
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: Family<u64>,
+    gauges: Family<i64>,
+    histograms: Family<Histogram>,
+    /// The bounds each histogram slot was registered over (parallel to
+    /// `histograms.cells`): what a handle write creates the histogram with.
+    bounds: Vec<&'static [u64]>,
+}
+
+/// Registries are equal when they show the same metrics; names that were
+/// registered but never written do not count.
+impl PartialEq for MetricsRegistry {
+    fn eq(&self, other: &MetricsRegistry) -> bool {
+        self.counters.iter().eq(other.counters.iter())
+            && self.gauges.iter().eq(other.gauges.iter())
+            && self.histograms.iter().eq(other.histograms.iter())
+    }
 }
 
 impl MetricsRegistry {
@@ -176,9 +269,48 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// A handle to counter `name`, which stays invisible until written.
+    pub fn register_counter(&mut self, name: impl Into<String> + AsRef<str>) -> CounterId {
+        CounterId(self.counters.slot(name))
+    }
+
+    /// A handle to gauge `name`, which stays invisible until written.
+    pub fn register_gauge(&mut self, name: impl Into<String> + AsRef<str>) -> GaugeId {
+        GaugeId(self.gauges.slot(name))
+    }
+
+    /// A handle to histogram `name`, which stays invisible until written.
+    /// A first write through the handle creates it over `bounds` (the
+    /// first registration's, if the name was registered before).
+    pub fn register_histogram(
+        &mut self,
+        name: impl Into<String> + AsRef<str>,
+        bounds: &'static [u64],
+    ) -> HistogramId {
+        HistogramId(self.histogram_slot(name, bounds))
+    }
+
+    fn histogram_slot(
+        &mut self,
+        name: impl Into<String> + AsRef<str>,
+        bounds: &'static [u64],
+    ) -> usize {
+        let slot = self.histograms.slot(name);
+        if slot == self.bounds.len() {
+            self.bounds.push(bounds);
+        }
+        slot
+    }
+
     /// Adds `by` to counter `name` (created at 0 on first use).
-    pub fn inc(&mut self, name: impl Into<String>, by: u64) {
-        *self.counters.entry(name.into()).or_insert(0) += by;
+    pub fn inc(&mut self, name: impl Into<String> + AsRef<str>, by: u64) {
+        let id = self.register_counter(name);
+        self.inc_at(id, by);
+    }
+
+    /// [`MetricsRegistry::inc`] through a handle.
+    pub fn inc_at(&mut self, id: CounterId, by: u64) {
+        *self.counters.cells[id.0].get_or_insert(0) += by;
     }
 
     /// The value of counter `name` (0 when never incremented).
@@ -187,8 +319,14 @@ impl MetricsRegistry {
     }
 
     /// Sets gauge `name` to `value`.
-    pub fn set_gauge(&mut self, name: impl Into<String>, value: i64) {
-        self.gauges.insert(name.into(), value);
+    pub fn set_gauge(&mut self, name: impl Into<String> + AsRef<str>, value: i64) {
+        let id = self.register_gauge(name);
+        self.set_gauge_at(id, value);
+    }
+
+    /// [`MetricsRegistry::set_gauge`] through a handle.
+    pub fn set_gauge_at(&mut self, id: GaugeId, value: i64) {
+        self.gauges.cells[id.0] = Some(value);
     }
 
     /// The value of gauge `name` (0 when never set).
@@ -198,10 +336,23 @@ impl MetricsRegistry {
 
     /// Records `value` into histogram `name`, creating it over `bounds` on
     /// first use. The bounds of an existing histogram are kept.
-    pub fn observe(&mut self, name: impl Into<String>, bounds: &'static [u64], value: u64) {
-        self.histograms
-            .entry(name.into())
-            .or_insert_with(|| Histogram::new(bounds))
+    pub fn observe(
+        &mut self,
+        name: impl Into<String> + AsRef<str>,
+        bounds: &'static [u64],
+        value: u64,
+    ) {
+        let slot = self.histogram_slot(name, bounds);
+        self.histograms.cells[slot]
+            .get_or_insert_with(|| Histogram::new(bounds))
+            .observe(value);
+    }
+
+    /// [`MetricsRegistry::observe`] through a handle.
+    pub fn observe_at(&mut self, id: HistogramId, value: u64) {
+        let bounds = self.bounds[id.0];
+        self.histograms.cells[id.0]
+            .get_or_insert_with(|| Histogram::new(bounds))
             .observe(value);
     }
 
@@ -218,17 +369,17 @@ impl MetricsRegistry {
 
     /// Counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        self.counters.iter().map(|(k, v)| (k, *v))
     }
 
     /// Gauges in name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> + '_ {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
+        self.gauges.iter().map(|(k, v)| (k, *v))
     }
 
     /// Histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
+        self.histograms.iter()
     }
 
     /// Folds every metric of `other` into this registry under
@@ -248,21 +399,23 @@ impl MetricsRegistry {
     /// prefix stays purely additive — it *is* the aggregate.
     pub fn merge_prefixed(&mut self, other: &MetricsRegistry, prefix: &str) {
         if !prefix.is_empty() {
-            self.counters.retain(|name, _| !name.starts_with(prefix));
-            self.gauges.retain(|name, _| !name.starts_with(prefix));
-            self.histograms.retain(|name, _| !name.starts_with(prefix));
+            self.counters.clear_prefix(prefix);
+            self.gauges.clear_prefix(prefix);
+            self.histograms.clear_prefix(prefix);
         }
-        for (name, v) in &other.counters {
-            *self.counters.entry(format!("{prefix}{name}")).or_insert(0) += v;
+        for (name, v) in other.counters.iter() {
+            self.inc(format!("{prefix}{name}"), *v);
         }
-        for (name, v) in &other.gauges {
-            *self.gauges.entry(format!("{prefix}{name}")).or_insert(0) += v;
+        for (name, v) in other.gauges.iter() {
+            let slot = self.gauges.slot(format!("{prefix}{name}"));
+            *self.gauges.cells[slot].get_or_insert(0) += v;
         }
-        for (name, h) in &other.histograms {
-            self.histograms
-                .entry(format!("{prefix}{name}"))
-                .and_modify(|mine| mine.merge(h))
-                .or_insert(*h);
+        for (name, h) in other.histograms.iter() {
+            let slot = self.histogram_slot(format!("{prefix}{name}"), h.bounds());
+            match &mut self.histograms.cells[slot] {
+                Some(mine) => mine.merge(h),
+                unwritten => *unwritten = Some(*h),
+            }
         }
     }
 
@@ -270,13 +423,13 @@ impl MetricsRegistry {
     /// order — deterministic for a deterministic run.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for (name, v) in &self.counters {
+        for (name, v) in self.counters.iter() {
             let _ = writeln!(out, "counter {name} {v}");
         }
-        for (name, v) in &self.gauges {
+        for (name, v) in self.gauges.iter() {
             let _ = writeln!(out, "gauge {name} {v}");
         }
-        for (name, h) in &self.histograms {
+        for (name, h) in self.histograms.iter() {
             let _ = writeln!(
                 out,
                 "histogram {name} count={} sum={} mean={} p50={} p99={} max={}",
@@ -298,15 +451,16 @@ impl MetricsRegistry {
     /// flattenings captures the same shape the textual
     /// [`render`](MetricsRegistry::render) shows.
     pub fn flat_samples(&self) -> Vec<(String, f64)> {
-        let mut out =
-            Vec::with_capacity(self.counters.len() + self.gauges.len() + 5 * self.histograms.len());
-        for (name, v) in &self.counters {
-            out.push((name.clone(), *v as f64));
+        let mut out = Vec::with_capacity(
+            self.counters.cells.len() + self.gauges.cells.len() + 5 * self.histograms.cells.len(),
+        );
+        for (name, v) in self.counters.iter() {
+            out.push((name.to_owned(), *v as f64));
         }
-        for (name, v) in &self.gauges {
-            out.push((name.clone(), *v as f64));
+        for (name, v) in self.gauges.iter() {
+            out.push((name.to_owned(), *v as f64));
         }
-        for (name, h) in &self.histograms {
+        for (name, h) in self.histograms.iter() {
             out.push((format!("{name}.count"), h.count() as f64));
             out.push((format!("{name}.mean"), h.mean() as f64));
             out.push((format!("{name}.p50"), h.quantile(50) as f64));
@@ -558,6 +712,112 @@ mod tests {
              gauge cache.bytes -3\n\
              histogram serve.lateness_us count=2 sum=1050 mean=525 p50=200 p99=900 max=900\n"
         );
+    }
+
+    /// A registered name does not exist, to any reader, until it is
+    /// written — exactly as a name nobody mentioned.
+    #[test]
+    fn registered_names_are_invisible_until_written() {
+        let mut m = MetricsRegistry::new();
+        let c = m.register_counter("serve.misses");
+        let g = m.register_gauge("cache.bytes");
+        let h = m.register_histogram("serve.lateness_us", &LATENCY_BUCKETS_US);
+        assert_eq!(m.render(), "");
+        assert_eq!(m.counters().count(), 0);
+        assert_eq!(m.gauges().count(), 0);
+        assert_eq!(m.histograms().count(), 0);
+        assert!(m.flat_samples().is_empty());
+        assert_eq!(m.counter("serve.misses"), 0);
+        assert!(m.histogram("serve.lateness_us").is_none());
+        assert_eq!(
+            m,
+            MetricsRegistry::new(),
+            "registration is not a difference"
+        );
+        let mut rollup = MetricsRegistry::new();
+        rollup.merge_prefixed(&m, "shard0.");
+        rollup.merge_prefixed(&m, "");
+        assert_eq!(rollup.render(), "");
+
+        // A write of 0 is a write: `entry().or_insert(0)` always was.
+        m.inc_at(c, 0);
+        assert_eq!(m.render(), "counter serve.misses 0\n");
+        assert_ne!(m, MetricsRegistry::new());
+        let mut by_name = MetricsRegistry::new();
+        by_name.inc("serve.misses", 0);
+        assert_eq!(m, by_name);
+        assert_eq!(m.flat_samples(), vec![("serve.misses".to_owned(), 0.0)]);
+
+        m.set_gauge_at(g, 0);
+        m.observe_at(h, 0);
+        assert_eq!(m.gauges().collect::<Vec<_>>(), vec![("cache.bytes", 0)]);
+        assert_eq!(m.histograms().count(), 1);
+        rollup.merge_prefixed(&m, "shard0.");
+        assert_eq!(rollup.counters().count(), 1);
+        assert_eq!(rollup.gauge("shard0.cache.bytes"), 0);
+        assert_eq!(
+            rollup
+                .histogram("shard0.serve.lateness_us")
+                .unwrap()
+                .count(),
+            1
+        );
+    }
+
+    #[test]
+    fn handle_and_name_hit_the_same_cell() {
+        let mut m = MetricsRegistry::new();
+        m.inc("serve.elements", 2);
+        let c = m.register_counter("serve.elements");
+        assert_eq!(c, m.register_counter(String::from("serve.elements")));
+        m.inc_at(c, 3);
+        m.inc("serve.elements", 1);
+        assert_eq!(m.counter("serve.elements"), 6);
+
+        let g = m.register_gauge("cache.bytes");
+        m.set_gauge("cache.bytes", 7);
+        m.set_gauge_at(g, 9);
+        assert_eq!(m.gauge("cache.bytes"), 9);
+
+        let h = m.register_histogram("serve.lateness_us", &LATENCY_BUCKETS_US);
+        m.observe_at(h, 150);
+        m.observe("serve.lateness_us", &LATENCY_BUCKETS_US, 900);
+        let mut by_name = MetricsRegistry::new();
+        by_name.inc("serve.elements", 6);
+        by_name.set_gauge("cache.bytes", 9);
+        by_name.observe("serve.lateness_us", &LATENCY_BUCKETS_US, 150);
+        by_name.observe("serve.lateness_us", &LATENCY_BUCKETS_US, 900);
+        assert_eq!(m, by_name);
+        assert_eq!(m.render(), by_name.render());
+        // Handles survive a clone.
+        let mut copy = m.clone();
+        copy.inc_at(c, 1);
+        assert_eq!(copy.counter("serve.elements"), 7);
+        assert_eq!(m.counter("serve.elements"), 6);
+    }
+
+    /// A prefix merge that drops a metric returns its cell to "unwritten":
+    /// the handle still works, and the next write starts from scratch.
+    #[test]
+    fn handles_outlive_a_prefix_clear() {
+        let mut m = MetricsRegistry::new();
+        let c = m.register_counter("shard0.elements");
+        let h = m.register_histogram("shard0.lat", &LATENCY_BUCKETS_US);
+        m.inc_at(c, 5);
+        m.observe_at(h, 80);
+        m.merge_prefixed(&MetricsRegistry::new(), "shard0.");
+        assert_eq!(m, MetricsRegistry::new());
+        m.inc_at(c, 2);
+        m.observe_at(h, 90);
+        assert_eq!(m.counter("shard0.elements"), 2);
+        assert_eq!(m.histogram("shard0.lat").unwrap().max(), 90);
+        // An unwritten histogram adopts the bounds of what is merged in,
+        // as an absent one did.
+        m.merge_prefixed(&MetricsRegistry::new(), "shard0.");
+        let mut other = MetricsRegistry::new();
+        other.observe("lat", &BYTES_BUCKETS, 4096);
+        m.merge_prefixed(&other, "shard0.");
+        assert_eq!(m.histogram("shard0.lat").unwrap().bounds(), &BYTES_BUCKETS);
     }
 
     #[test]

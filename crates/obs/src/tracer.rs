@@ -418,9 +418,25 @@ impl Tracer {
         session: Option<u64>,
         attrs: Vec<(&'static str, AttrValue)>,
     ) -> SpanId {
+        self.event_with(name, cat, at, parent, session, || attrs)
+    }
+
+    /// [`Tracer::event`] with the attributes built on demand: `attrs` runs
+    /// only when the tracer is enabled, so a hot path pays nothing — not
+    /// even the attribute `Vec` — for an event nobody records.
+    pub fn event_with(
+        &self,
+        name: &'static str,
+        cat: Category,
+        at: TimePoint,
+        parent: SpanId,
+        session: Option<u64>,
+        attrs: impl FnOnce() -> Vec<(&'static str, AttrValue)>,
+    ) -> SpanId {
         let Some(inner) = &self.inner else {
             return SpanId::NONE;
         };
+        let attrs = attrs();
         let mut ring = inner.lock().unwrap();
         let id = ring.next_id;
         ring.next_id += 1;

@@ -886,6 +886,12 @@ impl<S: BlobStore> Fleet<S> {
         self.shards.get(shard).and_then(|s| s.session(id))
     }
 
+    /// [`Server::check_invariants`] on every shard, in shard order; `Err`
+    /// names the first shard that fails.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        crate::shard::check_shards(&self.shards)
+    }
+
     /// Shard migrations performed so far.
     pub fn migrations(&self) -> u64 {
         self.metrics.counter(M_MIGRATIONS)
@@ -902,7 +908,7 @@ impl<S: BlobStore> Fleet<S> {
     /// [`Fleet::metrics`] merges unprefixed, next to the `fleet.*`
     /// transport counters). Lets tick riders account their events in the
     /// same rollup operators already read.
-    pub fn inc_metric(&mut self, name: impl Into<String>, by: u64) {
+    pub fn inc_metric(&mut self, name: impl Into<String> + AsRef<str>, by: u64) {
         self.metrics.inc(name, by);
     }
 

@@ -72,6 +72,8 @@ mod pool;
 mod server;
 mod session;
 mod shard;
+#[cfg(test)]
+mod table_prop;
 
 pub use cache::{CacheStats, SegmentCache};
 pub use capacity::{AdmissionPolicy, AdmitDecision, Capacity, RejectReason};

@@ -18,24 +18,26 @@
 //! intact read shields every later session from a deterministic storage
 //! fault at the same span.
 
-use crate::session::ServePlan;
+use crate::session::ObjectPlan;
 use crate::{
     AdmissionPolicy, AdmitDecision, Capacity, RejectReason, Request, Response, SegmentCache,
     ServeError, ServerStats, Session, SessionState, SessionStats,
 };
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::io;
+use std::ops::Range;
+use std::sync::Arc;
 use tbm_blob::{BlobStore, MemBlobStore, ReadCtx, RetryPolicy};
-use tbm_core::{crc32, BlobId, SessionId};
+use tbm_core::{crc32, SessionId};
 use tbm_db::MediaDb;
 use tbm_obs::{
-    attribute, chrome_trace_to_writer, micros, AttributionReport, Category, MetricsRegistry,
-    SpanId, TraceSnapshot, Tracer, ATTR_DECODE_US, ATTR_ELEMENT_INDEX, ATTR_FAILOVER_US,
-    ATTR_INHERITED_US, ATTR_LATENESS_US, ATTR_NODELOSS_US, ATTR_RETRY_US, ATTR_STORAGE_US,
-    ATTR_WAIT_US, ELEMENT_SPAN, LATENCY_BUCKETS_US,
+    attribute, chrome_trace_to_writer, micros, AttributionReport, Category, CounterId, GaugeId,
+    HistogramId, MetricsRegistry, SpanId, TraceSnapshot, Tracer, ATTR_DECODE_US,
+    ATTR_ELEMENT_INDEX, ATTR_FAILOVER_US, ATTR_INHERITED_US, ATTR_LATENESS_US, ATTR_NODELOSS_US,
+    ATTR_RETRY_US, ATTR_STORAGE_US, ATTR_WAIT_US, ELEMENT_SPAN, LATENCY_BUCKETS_US,
 };
-use tbm_player::{demanded_rate, schedule_from_interp, DegradationPolicy, ElementFate};
+use tbm_player::{DegradationPolicy, ElementFate};
 use tbm_time::{Rational, TimeDelta, TimePoint};
 
 // Registry metric names. Counters mirror the snapshot fields of
@@ -61,6 +63,61 @@ const H_SERVICE: &str = "serve.service_us";
 const H_READ: &str = "storage.read_us";
 const G_CACHE_BYTES: &str = "cache.bytes";
 
+/// Handles to the metrics above, registered once per server so the element
+/// path writes by index. A registered name stays out of every rendering
+/// until its first write, so registering them all up front changes no
+/// output.
+#[derive(Debug, Clone, Copy)]
+struct MetricIds {
+    admitted: CounterId,
+    admitted_degraded: CounterId,
+    rejected: CounterId,
+    elements: CounterId,
+    misses: CounterId,
+    recovered: CounterId,
+    degraded: CounterId,
+    dropped: CounterId,
+    repaired: CounterId,
+    upgraded: CounterId,
+    forced: CounterId,
+    faults: CounterId,
+    bytes_read: CounterId,
+    batches: CounterId,
+    lateness: HistogramId,
+    lateness_full: HistogramId,
+    lateness_degraded: HistogramId,
+    service: HistogramId,
+    read: HistogramId,
+    cache_bytes: GaugeId,
+}
+
+impl MetricIds {
+    fn register(m: &mut MetricsRegistry) -> MetricIds {
+        MetricIds {
+            admitted: m.register_counter(M_ADMITTED),
+            admitted_degraded: m.register_counter(M_ADMITTED_DEGRADED),
+            rejected: m.register_counter(M_REJECTED),
+            elements: m.register_counter(M_ELEMENTS),
+            misses: m.register_counter(M_MISSES),
+            recovered: m.register_counter(M_RECOVERED),
+            degraded: m.register_counter(M_DEGRADED),
+            dropped: m.register_counter(M_DROPPED),
+            repaired: m.register_counter(M_REPAIRED),
+            upgraded: m.register_counter(M_UPGRADED),
+            forced: m.register_counter(M_FORCED),
+            faults: m.register_counter(M_FAULTS),
+            bytes_read: m.register_counter(M_BYTES_READ),
+            batches: m.register_counter(M_BATCHES),
+            lateness: m.register_histogram(H_LATENESS, &LATENCY_BUCKETS_US),
+            lateness_full: m.register_histogram(H_LATENESS_FULL, &LATENCY_BUCKETS_US),
+            lateness_degraded: m.register_histogram(H_LATENESS_DEGRADED, &LATENCY_BUCKETS_US),
+            service: m.register_histogram(H_SERVICE, &LATENCY_BUCKETS_US),
+            read: m.register_histogram(H_READ, &LATENCY_BUCKETS_US),
+            cache_bytes: m.register_gauge(G_CACHE_BYTES),
+        }
+    }
+}
+
 /// One queued element fetch. Ordering is `(deadline, session, pos)` so the
 /// heap is a deterministic earliest-deadline-first queue.
 ///
@@ -79,28 +136,22 @@ struct QueuedJob {
     epoch: u64,
 }
 
-/// The cache-aware storage multiplier for one session: the fraction of the
-/// bytes its remaining plan will fetch that are *not* resident in the
-/// segment cache (1 = nothing resident, 0 = everything). Residency is
-/// probed with [`SegmentCache::contains`], which touches neither recency
+/// The cache-aware storage multiplier for the `pending` elements of a
+/// plan: the fraction of the bytes they will fetch that are *not* resident
+/// in the segment cache (1 = nothing resident, 0 = everything). Residency
+/// is probed with [`SegmentCache::contains`], which touches neither recency
 /// nor the hit/miss counters, so pricing a session never perturbs the
-/// cache state other sessions see.
-fn residency_discount(
-    cache: &SegmentCache,
-    blob: BlobId,
-    plans: &[ServePlan],
-    pending: &BTreeSet<usize>,
-) -> Rational {
+/// cache state other sessions see. Admission prices a whole plan
+/// (`0..jobs.len()`) before any session exists.
+fn residency_discount(cache: &SegmentCache, plan: &ObjectPlan, pending: Range<usize>) -> Rational {
     if !cache.is_enabled() {
         return Rational::ONE;
     }
     let (mut total, mut resident) = (0u64, 0u64);
-    for &pos in pending {
-        for span in &plans[pos].spans {
-            total += span.len;
-            if cache.contains(blob, *span) {
-                resident += span.len;
-            }
+    for span in plan.spans_of(pending) {
+        total += span.len;
+        if cache.contains(plan.blob, span) {
+            resident += span.len;
         }
     }
     if total == 0 {
@@ -110,34 +161,13 @@ fn residency_discount(
     }
 }
 
-/// Like [`residency_discount`], but priced at admission time straight from
-/// the stream's interpretation entries (capped at `layers` placement
-/// layers per element) — before any session plan exists.
-fn admission_discount(
-    cache: &SegmentCache,
-    blob: BlobId,
-    entries: &[tbm_interp::ElementEntry],
-    layers: Option<usize>,
-) -> Rational {
-    if !cache.is_enabled() {
-        return Rational::ONE;
-    }
-    let (mut total, mut resident) = (0u64, 0u64);
-    for e in entries {
-        let all = e.placement.layers();
-        let take = layers.unwrap_or(all.len()).min(all.len()).max(1);
-        for span in &all[..take] {
-            total += span.len;
-            if cache.contains(blob, *span) {
-                resident += span.len;
-            }
-        }
-    }
-    if total == 0 {
-        Rational::ONE
-    } else {
-        Rational::new((total - resident) as i64, total as i64)
-    }
+/// The two plans of one catalog object: full fidelity, and — for a
+/// scalable stream, one with more than one placement layer somewhere —
+/// the base layer alone.
+#[derive(Debug)]
+struct ObjectPlans {
+    full: Arc<ObjectPlan>,
+    base: Option<Arc<ObjectPlan>>,
 }
 
 /// A multi-session media delivery engine over a catalog and a BLOB store.
@@ -157,6 +187,16 @@ pub struct Server<S: BlobStore = MemBlobStore> {
     retry: RetryPolicy,
     policy: DegradationPolicy,
     sessions: Vec<Session>,
+    /// Sessions holding capacity (opened, playing or paused).
+    active: usize,
+    /// Active sessions that are degraded and still have elements to play
+    /// ([`Session::is_capped_live`]) — the only ones an upgrade pass can do
+    /// anything for, so the pass is skipped while this is 0.
+    capped_live: usize,
+    /// Every object opened so far, planned once and shared by its
+    /// sessions. The catalog is immutable while the server owns it, so
+    /// entries never go stale.
+    plans: HashMap<String, ObjectPlans>,
     /// First session id this server hands out; ids are `base..base+n`.
     /// Non-zero only under a [`crate::ShardedServer`], which gives each
     /// shard a disjoint id range so a session id alone names its shard
@@ -190,6 +230,7 @@ pub struct Server<S: BlobStore = MemBlobStore> {
     /// exactly the set [`Server::release_degrade`] restores.
     forced: BTreeSet<u64>,
     metrics: MetricsRegistry,
+    ids: MetricIds,
     tracer: Tracer,
     /// Scratch for the same-deadline batch the loop is currently serving;
     /// kept on the server so its allocation is reused across batches.
@@ -204,6 +245,8 @@ impl<S: BlobStore> Server<S> {
     /// A server over `db` with the given capacity, no cache, 3 retries and
     /// the [`DegradationPolicy::DropLayers`] ladder.
     pub fn new(db: MediaDb<S>, capacity: Capacity) -> Server<S> {
+        let mut metrics = MetricsRegistry::new();
+        let ids = MetricIds::register(&mut metrics);
         Server {
             db,
             capacity,
@@ -211,6 +254,9 @@ impl<S: BlobStore> Server<S> {
             retry: RetryPolicy::new(3),
             policy: DegradationPolicy::DropLayers,
             sessions: Vec::new(),
+            active: 0,
+            capped_live: 0,
+            plans: HashMap::new(),
             session_base: 0,
             heap: BinaryHeap::new(),
             clock: TimePoint::ZERO,
@@ -221,7 +267,8 @@ impl<S: BlobStore> Server<S> {
             repriced_gen: 0,
             upgrade_hold: false,
             forced: BTreeSet::new(),
-            metrics: MetricsRegistry::new(),
+            metrics,
+            ids,
             tracer: Tracer::disabled(),
             batch: VecDeque::new(),
             batch_spans: false,
@@ -343,6 +390,7 @@ impl<S: BlobStore> Server<S> {
     pub fn set_capacity(&mut self, capacity: Capacity) {
         self.capacity = capacity;
         self.try_upgrade_sessions(self.clock);
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     /// Stalls the service channel until `until` (monotone: an earlier call
@@ -377,11 +425,6 @@ impl<S: BlobStore> Server<S> {
         self.checked_slot(id).map(|i| &self.sessions[i])
     }
 
-    /// The slot of a known-valid session id (ids are `base + slot`).
-    fn slot(&self, id: SessionId) -> usize {
-        (id.raw() - self.session_base) as usize
-    }
-
     /// The slot of `id`, or `None` when the id was never allocated here
     /// (wrong shard, or simply unknown).
     fn checked_slot(&self, id: SessionId) -> Option<usize> {
@@ -406,15 +449,18 @@ impl<S: BlobStore> Server<S> {
                 clock: self.clock,
             });
         }
-        self.run_until(at);
-        match request {
+        self.drain(Some(at));
+        self.clock = at;
+        let response = match request {
             Request::Open { object } => self.open(&object),
             Request::Play { session } => self.play(at, session),
             Request::Pause { session } => self.pause(session),
             Request::Seek { session, to } => self.seek(at, session, to),
             Request::SetRate { session, num, den } => self.set_rate(at, session, num, den),
             Request::Close { session } => self.close(session),
-        }
+        };
+        debug_assert_eq!(self.check_invariants(), Ok(()));
+        response
     }
 
     /// Serves every queued element whose deadline is at or before `to`,
@@ -422,6 +468,7 @@ impl<S: BlobStore> Server<S> {
     pub fn run_until(&mut self, to: TimePoint) {
         self.drain(Some(to));
         self.clock = self.clock.max(to);
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     /// Drains the event loop completely — every queued element of every
@@ -439,6 +486,7 @@ impl<S: BlobStore> Server<S> {
     pub(crate) fn drain_all(&mut self) {
         self.drain(None);
         self.clock = self.clock.max(self.busy_until);
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     /// Whether any queued element is due at or before `to` — the sharded
@@ -521,7 +569,7 @@ impl<S: BlobStore> Server<S> {
     /// Closes a batch: counts it and (when enabled) closes its sched span.
     fn finish_batch(&mut self, span: SpanId, served: u64, deadline: TimePoint) {
         if served > 0 {
-            self.metrics.inc(M_BATCHES, 1);
+            self.metrics.inc_at(self.ids.batches, 1);
         }
         if !span.is_none() {
             self.tracer.attr(span, "jobs", served);
@@ -539,10 +587,16 @@ impl<S: BlobStore> Server<S> {
             // live continuation was queued with a fresh epoch already.
             return None;
         }
-        let &pos = s.pending.first()?;
-        Some(QueuedJob {
+        Self::head_job(s)
+    }
+
+    /// The heap entry for the earliest pending element of `s` under its
+    /// current anchor.
+    fn head_job(s: &Session) -> Option<QueuedJob> {
+        let pos = s.pending.start;
+        (!s.pending.is_empty()).then(|| QueuedJob {
             deadline: s.queued_deadline(pos),
-            session: job.session,
+            session: s.id.raw(),
             pos,
             epoch: s.epoch,
         })
@@ -601,18 +655,28 @@ impl<S: BlobStore> Server<S> {
     // Request handlers
     // ------------------------------------------------------------------
 
+    /// The plans of `object`, built from the catalog on its first `Open`.
+    fn plans_of(&mut self, object: &str) -> Result<&ObjectPlans, ServeError> {
+        if !self.plans.contains_key(object) {
+            let (interp, stream) = self.db.stream_of(object)?;
+            let scalable = stream
+                .entries()
+                .iter()
+                .any(|e| e.placement.layer_count() > 1);
+            let plan = |cap| Arc::new(ObjectPlan::build(object, stream, interp.blob(), cap));
+            let plans = ObjectPlans {
+                full: plan(None),
+                base: scalable.then(|| plan(Some(1))),
+            };
+            self.plans.insert(object.to_owned(), plans);
+        }
+        Ok(&self.plans[object])
+    }
+
     /// Runs admission control and, when admitted, creates the session.
     fn open(&mut self, object: &str) -> Result<Response, ServeError> {
-        let active = self.sessions.iter().filter(|s| s.is_active()).count();
-        let (interp, stream) = self.db.stream_of(object)?;
-        let blob = interp.blob();
-        let system = stream.system();
-        let full_jobs = schedule_from_interp(stream, None);
-        let full_demand = demanded_rate(&full_jobs, system).unwrap_or(Rational::ZERO);
-        let scalable = stream
-            .entries()
-            .iter()
-            .any(|e| e.placement.layer_count() > 1);
+        let plans = self.plans_of(object)?;
+        let (full, base) = (Arc::clone(&plans.full), plans.base.clone());
 
         // Admission prices storage demand against the capacity the store
         // can actually deliver right now: an open tier breaker derates the
@@ -621,141 +685,106 @@ impl<S: BlobStore> Server<S> {
         // `try_upgrade_sessions`).
         let gate = self.capacity.derated(self.db.store().health_percent());
         // Cache-aware admission prices the *storage* stage at the demand
-        // discounted by current residency (`Rational::ONE` off-flag or with
-        // the cache disabled); the decode stage always pays in full, since
-        // a cache hit skips the fetch but not the decode.
-        let full_discount = if gate.cache_aware {
-            admission_discount(&self.cache, blob, stream.entries(), None)
-        } else {
-            Rational::ONE
+        // discounted by current residency; the decode stage always pays in
+        // full, since a cache hit skips the fetch but not the decode.
+        let charge_of = |plan: &ObjectPlan| {
+            if gate.cache_aware {
+                plan.unit_demand * residency_discount(&self.cache, plan, 0..plan.jobs.len())
+            } else {
+                plan.unit_demand
+            }
         };
-        let (decision, layers) = match self.capacity.policy {
-            AdmissionPolicy::AdmitAll => (AdmitDecision::Admitted, None),
+        let fits = |plan: &ObjectPlan, charged: Rational| {
+            gate.fits_staged(
+                self.committed,
+                self.committed_decode,
+                charged,
+                plan.unit_demand,
+            )
+        };
+        let full_charge = charge_of(&full);
+        let admitted = match self.capacity.policy {
+            AdmissionPolicy::AdmitAll => Ok((AdmitDecision::Admitted, full, full_charge)),
+            AdmissionPolicy::Enforce if self.active >= self.capacity.max_sessions => {
+                Err(RejectReason::SessionLimit {
+                    max: self.capacity.max_sessions,
+                })
+            }
+            AdmissionPolicy::Enforce if fits(&full, full_charge) => {
+                Ok((AdmitDecision::Admitted, full, full_charge))
+            }
             AdmissionPolicy::Enforce => {
-                if active >= self.capacity.max_sessions {
-                    (
-                        AdmitDecision::Rejected {
-                            reason: RejectReason::SessionLimit {
-                                max: self.capacity.max_sessions,
-                            },
-                        },
-                        None,
-                    )
-                } else if gate.fits_staged(
-                    self.committed,
-                    self.committed_decode,
-                    full_demand * full_discount,
-                    full_demand,
-                ) {
-                    (AdmitDecision::Admitted, None)
-                } else {
-                    let base_jobs = schedule_from_interp(stream, Some(1));
-                    let base_demand = demanded_rate(&base_jobs, system).unwrap_or(Rational::ZERO);
-                    let base_discount = if gate.cache_aware {
-                        admission_discount(&self.cache, blob, stream.entries(), Some(1))
-                    } else {
-                        Rational::ONE
-                    };
-                    if scalable
-                        && gate.fits_staged(
-                            self.committed,
-                            self.committed_decode,
-                            base_demand * base_discount,
-                            base_demand,
-                        )
-                    {
-                        (AdmitDecision::Degraded { layers: 1 }, Some(1))
-                    } else {
-                        let cheapest = if scalable { base_demand } else { full_demand };
+                let base = base.map(|base| {
+                    let charge = charge_of(&base);
+                    (base, charge)
+                });
+                match base {
+                    Some((base, charge)) if fits(&base, charge) => {
+                        Ok((AdmitDecision::Degraded { layers: 1 }, base, charge))
+                    }
+                    base => {
+                        let cheapest = base.map_or(full.unit_demand, |(b, _)| b.unit_demand);
                         let headroom = Rational::from(gate.service_rate() as i64) - self.committed;
-                        (
-                            AdmitDecision::Rejected {
-                                reason: RejectReason::Saturated {
-                                    demanded_bps: cheapest.floor().max(0) as u64,
-                                    available_bps: headroom.floor().max(0) as u64,
-                                },
-                            },
-                            None,
-                        )
+                        Err(RejectReason::Saturated {
+                            demanded_bps: cheapest.floor().max(0) as u64,
+                            available_bps: headroom.floor().max(0) as u64,
+                        })
                     }
                 }
             }
         };
 
-        let verdict = match decision {
-            AdmitDecision::Admitted => "admitted",
-            AdmitDecision::Degraded { .. } => "degraded",
-            AdmitDecision::Rejected { .. } => "rejected",
+        let (decision, plan, charged) = match admitted {
+            Ok(admitted) => admitted,
+            Err(reason) => {
+                self.metrics.inc_at(self.ids.rejected, 1);
+                self.tracer.event_with(
+                    "admission",
+                    Category::Admission,
+                    self.clock,
+                    SpanId::NONE,
+                    None,
+                    || {
+                        vec![
+                            ("object", object.to_owned().into()),
+                            ("verdict", "rejected".into()),
+                        ]
+                    },
+                );
+                return Ok(Response::Opened {
+                    session: None,
+                    decision: AdmitDecision::Rejected { reason },
+                });
+            }
         };
-        if !decision.is_admitted() {
-            self.metrics.inc(M_REJECTED, 1);
-            self.tracer.event(
-                "admission",
-                Category::Admission,
-                self.clock,
-                SpanId::NONE,
-                None,
-                vec![
-                    ("object", object.to_owned().into()),
-                    ("verdict", verdict.into()),
-                ],
-            );
-            return Ok(Response::Opened {
-                session: None,
-                decision,
-            });
-        }
 
-        let jobs = match layers {
-            None => full_jobs,
-            Some(l) => schedule_from_interp(stream, Some(l)),
-        };
-        let demand = demanded_rate(&jobs, system).unwrap_or(Rational::ZERO);
-        let charged = if gate.cache_aware {
-            demand
-                * match layers {
-                    None => full_discount,
-                    Some(_) => admission_discount(&self.cache, blob, stream.entries(), layers),
-                }
-        } else {
-            demand
-        };
-        let plans: Vec<ServePlan> = jobs
-            .iter()
-            .map(|j| {
-                let entry = &stream.entries()[j.index];
-                let all = entry.placement.layers();
-                let take = layers.unwrap_or(all.len()).min(all.len()).max(1);
-                ServePlan {
-                    spans: all[..take].to_vec(),
-                    checksums: entry.checksums.iter().copied().take(take).collect(),
-                }
-            })
-            .collect();
-
+        let demand = plan.unit_demand;
         let id = SessionId::new(self.session_base + self.sessions.len() as u64);
-        let pending: BTreeSet<usize> = (0..jobs.len()).collect();
-        match decision {
-            AdmitDecision::Degraded { .. } => self.metrics.inc(M_ADMITTED_DEGRADED, 1),
-            _ => self.metrics.inc(M_ADMITTED, 1),
-        }
+        let (counter, verdict) = match decision {
+            AdmitDecision::Degraded { .. } => (self.ids.admitted_degraded, "degraded"),
+            _ => (self.ids.admitted, "admitted"),
+        };
+        self.metrics.inc_at(counter, 1);
         self.committed += charged;
         self.committed_decode += demand;
-        let mut attrs = vec![
-            ("object", object.to_owned().into()),
-            ("verdict", verdict.into()),
-        ];
-        if gate.cache_aware {
-            // Only under the flag, so off-flag traces stay byte-identical.
-            attrs.push(("charged_bps", (charged.floor().max(0) as u64).into()));
-        }
-        self.tracer.event(
+        self.tracer.event_with(
             "admission",
             Category::Admission,
             self.clock,
             SpanId::NONE,
             Some(id.raw()),
-            attrs,
+            || {
+                let mut attrs = vec![
+                    ("object", object.to_owned().into()),
+                    ("verdict", verdict.into()),
+                ];
+                if gate.cache_aware {
+                    // Only under the flag, so off-flag traces stay
+                    // byte-identical.
+                    attrs.push(("charged_bps", (charged.floor().max(0) as u64).into()));
+                }
+                attrs
+            },
         );
         let span = self.tracer.begin_span(
             "session",
@@ -764,108 +793,115 @@ impl<S: BlobStore> Server<S> {
             SpanId::NONE,
             Some(id.raw()),
         );
-        self.tracer.attr(span, "object", object.to_owned());
-        self.sessions.push(Session {
+        if self.tracer.is_enabled() {
+            self.tracer.attr(span, "object", object.to_owned());
+        }
+        let session = Session {
             id,
-            object: object.to_owned(),
-            blob,
             state: SessionState::Opened,
-            decision,
-            system,
-            jobs,
-            plans,
-            pending,
+            pending: 0..plan.jobs.len(),
+            plan,
             epoch: 0,
             rate: (1, 1),
             play_time: TimePoint::ZERO,
             anchor_rel: Rational::ZERO,
             clock_base: None,
-            layers_cap: layers,
-            full_unit_demand: full_demand,
-            unit_demand: demand,
             demand,
             charged,
-            released: false,
             have_good: false,
             stats: SessionStats::default(),
             span,
             last_ready: TimePoint::ZERO,
             last_lateness_us: 0,
-        });
+        };
+        self.active += 1;
+        self.capped_live += session.is_capped_live() as usize;
+        self.sessions.push(session);
         Ok(Response::Opened {
             session: Some(id),
             decision,
         })
     }
 
-    fn session_mut(&mut self, id: SessionId) -> Result<&mut Session, ServeError> {
-        self.checked_slot(id)
-            .map(|i| &mut self.sessions[i])
-            .ok_or(ServeError::UnknownSession { session: id })
+    /// The slot of `id`, provided its session may still take `request`.
+    fn slot_for(
+        &self,
+        id: SessionId,
+        request: &'static str,
+        allowed: impl FnOnce(&Session) -> bool,
+    ) -> Result<usize, ServeError> {
+        let slot = self
+            .checked_slot(id)
+            .ok_or(ServeError::UnknownSession { session: id })?;
+        let s = &self.sessions[slot];
+        if allowed(s) {
+            Ok(slot)
+        } else {
+            Err(ServeError::BadState {
+                session: id,
+                state: s.state,
+                request,
+            })
+        }
     }
 
-    /// Queues the earliest pending element of `id` under its current
+    /// Queues the earliest pending element of slot `idx` under its current
     /// anchor — the session's single live heap entry; the event loop queues
     /// each successor as it serves (see [`QueuedJob`]).
-    fn enqueue_next(&mut self, id: SessionId) {
-        let s = &self.sessions[self.slot(id)];
-        if let Some(&pos) = s.pending.first() {
-            self.heap.push(Reverse(QueuedJob {
-                deadline: s.queued_deadline(pos),
-                session: s.id.raw(),
-                pos,
-                epoch: s.epoch,
-            }));
+    fn enqueue_next(&mut self, idx: usize) {
+        if let Some(job) = Self::head_job(&self.sessions[idx]) {
+            self.heap.push(Reverse(job));
         }
+    }
+
+    /// Replaces the pending run of slot `idx`.
+    fn set_pending(&mut self, idx: usize, pending: Range<usize>) {
+        let s = &mut self.sessions[idx];
+        let was = s.is_capped_live();
+        s.pending = pending;
+        self.capped_live = self.capped_live - was as usize + s.is_capped_live() as usize;
+    }
+
+    /// Moves slot `idx` out of the active set (to `Finished` or `Closed`)
+    /// and hands its committed capacity back, once.
+    fn retire(&mut self, idx: usize, state: SessionState) {
+        let s = &mut self.sessions[idx];
+        if s.is_active() {
+            self.active -= 1;
+            self.capped_live -= s.is_capped_live() as usize;
+            self.committed -= s.charged;
+            self.committed_decode -= s.demand;
+        }
+        s.state = state;
     }
 
     fn play(&mut self, at: TimePoint, id: SessionId) -> Result<Response, ServeError> {
-        let s = self.session_mut(id)?;
-        if !matches!(s.state, SessionState::Opened | SessionState::Paused) {
-            return Err(ServeError::BadState {
-                session: id,
-                state: s.state,
-                request: "Play",
-            });
-        }
-        if s.pending.is_empty() {
-            s.state = SessionState::Finished;
-            let demand = s.demand;
-            let charged = s.charged;
-            let span = s.span;
-            let already = std::mem::replace(&mut s.released, true);
-            if !already {
-                self.committed -= charged;
-                self.committed_decode -= demand;
-            }
-            self.tracer.event(
-                "session.play",
-                Category::Session,
-                at,
-                span,
-                Some(id.raw()),
-                vec![("queued", 0u64.into())],
-            );
-            self.tracer.end_span(span, at);
-            self.try_upgrade_sessions(at);
-            return Ok(Response::Playing {
-                session: id,
-                queued: 0,
-            });
-        }
-        s.state = SessionState::Playing;
-        s.anchor(at);
+        let idx = self.slot_for(id, "Play", |s| {
+            matches!(s.state, SessionState::Opened | SessionState::Paused)
+        })?;
+        let s = &mut self.sessions[idx];
         let queued = s.pending.len();
         let span = s.span;
-        self.tracer.event(
+        if queued == 0 {
+            self.retire(idx, SessionState::Finished);
+        } else {
+            s.state = SessionState::Playing;
+            s.anchor(at);
+        }
+        self.tracer.event_with(
             "session.play",
             Category::Session,
             at,
             span,
             Some(id.raw()),
-            vec![("queued", queued.into())],
+            || vec![("queued", queued.into())],
         );
-        self.enqueue_next(id);
+        if queued == 0 {
+            self.tracer.end_span(span, at);
+            self.try_upgrade_sessions(at);
+        } else {
+            self.enqueue_next(idx);
+        }
         Ok(Response::Playing {
             session: id,
             queued,
@@ -873,25 +909,18 @@ impl<S: BlobStore> Server<S> {
     }
 
     fn pause(&mut self, id: SessionId) -> Result<Response, ServeError> {
-        let s = self.session_mut(id)?;
-        if s.state != SessionState::Playing {
-            return Err(ServeError::BadState {
-                session: id,
-                state: s.state,
-                request: "Pause",
-            });
-        }
+        let idx = self.slot_for(id, "Pause", |s| s.state == SessionState::Playing)?;
+        let s = &mut self.sessions[idx];
         s.state = SessionState::Paused;
         s.epoch += 1; // queued jobs of the old epoch become stale
         let remaining = s.pending.len();
-        let span = s.span;
-        self.tracer.event(
+        self.tracer.event_with(
             "session.pause",
             Category::Session,
             self.clock,
-            span,
+            s.span,
             Some(id.raw()),
-            vec![("remaining", remaining.into())],
+            || vec![("remaining", remaining.into())],
         );
         Ok(Response::Paused {
             session: id,
@@ -905,57 +934,38 @@ impl<S: BlobStore> Server<S> {
         id: SessionId,
         to: TimePoint,
     ) -> Result<Response, ServeError> {
-        let s = self.session_mut(id)?;
-        if !s.is_active() {
-            return Err(ServeError::BadState {
-                session: id,
-                state: s.state,
-                request: "Seek",
-            });
-        }
+        let idx = self.slot_for(id, "Seek", Session::is_active)?;
         // Everything at or after `to` on the unit-rate stream timeline
         // becomes pending again; a backwards seek re-presents elements.
-        s.pending = s
-            .jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.deadline >= to)
-            .map(|(pos, _)| pos)
-            .collect();
+        // Jobs are in deadline order, so that is a suffix.
+        let jobs = &self.sessions[idx].plan.jobs;
+        let pending = jobs.partition_point(|j| j.deadline < to)..jobs.len();
+        let remaining = pending.len();
+        self.set_pending(idx, pending);
+        let s = &mut self.sessions[idx];
         s.epoch += 1;
-        let remaining = s.pending.len();
         let span = s.span;
-        let state = s.state;
-        self.tracer.event(
+        let playing = s.state == SessionState::Playing;
+        self.tracer.event_with(
             "session.seek",
             Category::Session,
             at,
             span,
             Some(id.raw()),
-            vec![
-                ("to_us", tbm_obs::micros_of(to).into()),
-                ("remaining", remaining.into()),
-            ],
+            || {
+                vec![
+                    ("to_us", tbm_obs::micros_of(to).into()),
+                    ("remaining", remaining.into()),
+                ]
+            },
         );
-        if state == SessionState::Playing {
-            if remaining == 0 {
-                let slot = self.slot(id);
-                let s = &mut self.sessions[slot];
-                s.state = SessionState::Finished;
-                let demand = s.demand;
-                let charged = s.charged;
-                let already = std::mem::replace(&mut s.released, true);
-                if !already {
-                    self.committed -= charged;
-                    self.committed_decode -= demand;
-                }
-                self.tracer.end_span(span, at);
-                self.try_upgrade_sessions(at);
-            } else {
-                let slot = self.slot(id);
-                self.sessions[slot].anchor(at);
-                self.enqueue_next(id);
-            }
+        if playing && remaining == 0 {
+            self.retire(idx, SessionState::Finished);
+            self.tracer.end_span(span, at);
+            self.try_upgrade_sessions(at);
+        } else if playing {
+            self.sessions[idx].anchor(at);
+            self.enqueue_next(idx);
         }
         Ok(Response::Sought {
             session: id,
@@ -973,64 +983,46 @@ impl<S: BlobStore> Server<S> {
         if num == 0 || den == 0 {
             return Err(ServeError::BadRate { num, den });
         }
-        let committed = self.committed;
-        let committed_decode = self.committed_decode;
-        let capacity = self.capacity;
-        {
-            let s = self.session_mut(id)?;
-            if !s.is_active() {
-                return Err(ServeError::BadState {
-                    session: id,
-                    state: s.state,
-                    request: "SetRate",
-                });
-            }
-        }
-        let slot = self.slot(id);
-        let s = &self.sessions[slot];
+        let idx = self.slot_for(id, "SetRate", Session::is_active)?;
+        let s = &self.sessions[idx];
         // Faster playback demands proportionally more bytes per second;
         // re-run the admission check on the delta (residency-discounted on
         // the storage stage under cache-aware admission).
-        let new_demand = s.unit_demand * Rational::new(num as i64, den as i64);
-        let new_charged = if capacity.cache_aware {
-            new_demand * residency_discount(&self.cache, s.blob, &s.plans, &s.pending)
+        let new_demand = s.plan.unit_demand * Rational::new(num as i64, den as i64);
+        let new_charged = if self.capacity.cache_aware {
+            new_demand * residency_discount(&self.cache, &s.plan, s.pending.clone())
         } else {
             new_demand
         };
-        if capacity.policy == AdmissionPolicy::Enforce
-            && !capacity.fits_staged(
-                committed - s.charged,
-                committed_decode - s.demand,
-                new_charged,
-                new_demand,
-            )
+        let rest = self.committed - s.charged;
+        let rest_decode = self.committed_decode - s.demand;
+        if self.capacity.policy == AdmissionPolicy::Enforce
+            && !self
+                .capacity
+                .fits_staged(rest, rest_decode, new_charged, new_demand)
         {
             return Ok(Response::RateSet {
                 session: id,
                 accepted: false,
             });
         }
-        let s = &mut self.sessions[slot];
-        let old = s.demand;
-        let old_charged = s.charged;
+        self.committed = rest + new_charged;
+        self.committed_decode = rest_decode + new_demand;
+        let s = &mut self.sessions[idx];
         s.demand = new_demand;
         s.charged = new_charged;
         s.rate = (num, den);
-        let span = s.span;
-        self.committed = committed - old_charged + new_charged;
-        self.committed_decode = committed_decode - old + new_demand;
-        self.tracer.event(
+        self.tracer.event_with(
             "session.rate",
             Category::Session,
             at,
-            span,
+            s.span,
             Some(id.raw()),
-            vec![("num", num.into()), ("den", den.into())],
+            || vec![("num", num.into()), ("den", den.into())],
         );
-        let slot = self.slot(id);
-        if self.sessions[slot].state == SessionState::Playing {
-            self.sessions[slot].anchor(at);
-            self.enqueue_next(id);
+        if s.state == SessionState::Playing {
+            s.anchor(at);
+            self.enqueue_next(idx);
         }
         Ok(Response::RateSet {
             session: id,
@@ -1039,32 +1031,19 @@ impl<S: BlobStore> Server<S> {
     }
 
     fn close(&mut self, id: SessionId) -> Result<Response, ServeError> {
-        let s = self.session_mut(id)?;
-        if s.state == SessionState::Closed {
-            return Err(ServeError::BadState {
-                session: id,
-                state: s.state,
-                request: "Close",
-            });
-        }
-        s.state = SessionState::Closed;
+        let idx = self.slot_for(id, "Close", |s| s.state != SessionState::Closed)?;
+        self.retire(idx, SessionState::Closed);
+        let s = &mut self.sessions[idx];
         s.epoch += 1;
         let stats = s.stats;
-        let demand = s.demand;
-        let charged = s.charged;
         let span = s.span;
-        let already = std::mem::replace(&mut s.released, true);
-        if !already {
-            self.committed -= charged;
-            self.committed_decode -= demand;
-        }
-        self.tracer.event(
+        self.tracer.event_with(
             "session.close",
             Category::Session,
             self.clock,
             span,
             Some(id.raw()),
-            vec![("elements", stats.elements.into())],
+            || vec![("elements", stats.elements.into())],
         );
         self.tracer.end_span(span, self.clock);
         self.try_upgrade_sessions(self.clock);
@@ -1085,38 +1064,31 @@ impl<S: BlobStore> Server<S> {
     pub fn shed_pending(&mut self, at: TimePoint) -> usize {
         let mut shed_total = 0usize;
         for idx in 0..self.sessions.len() {
-            let s = &mut self.sessions[idx];
+            let s = &self.sessions[idx];
             if !s.is_active() || s.pending.is_empty() {
                 continue;
             }
             let shed = s.pending.len();
-            s.pending.clear();
+            self.retire(idx, SessionState::Closed);
+            let s = &mut self.sessions[idx];
+            s.pending.start = s.pending.end;
             s.epoch += 1; // queued jobs of the old schedule go stale
-            s.state = SessionState::Closed;
             s.stats.elements += shed;
             s.stats.dropped += shed;
-            let demand = s.demand;
-            let charged = s.charged;
-            let span = s.span;
-            let id = s.id;
-            let already = std::mem::replace(&mut s.released, true);
-            if !already {
-                self.committed -= charged;
-                self.committed_decode -= demand;
-            }
-            self.metrics.inc(M_ELEMENTS, shed as u64);
-            self.metrics.inc(M_DROPPED, shed as u64);
-            self.metrics.inc(M_FAULTS, shed as u64);
+            let (span, id) = (s.span, s.id);
+            self.metrics.inc_at(self.ids.elements, shed as u64);
+            self.metrics.inc_at(self.ids.dropped, shed as u64);
+            self.metrics.inc_at(self.ids.faults, shed as u64);
             for _ in 0..shed {
-                self.metrics.observe(H_SERVICE, &LATENCY_BUCKETS_US, 0);
+                self.metrics.observe_at(self.ids.service, 0);
             }
-            self.tracer.event(
+            self.tracer.event_with(
                 "session.shed",
                 Category::Session,
                 at,
                 span,
                 Some(id.raw()),
-                vec![("shed", shed.into())],
+                || vec![("shed", shed.into())],
             );
             self.tracer.end_span(span, at);
             shed_total += shed;
@@ -1124,16 +1096,10 @@ impl<S: BlobStore> Server<S> {
         if shed_total > 0 {
             self.try_upgrade_sessions(at);
         }
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         shed_total
     }
 
-    /// Re-admits degraded-fidelity sessions at full fidelity — the recovery
-    /// half of the degraded admission path. A session capped at admission
-    /// (`layers_cap`) is upgraded when the store is fully healthy again
-    /// (every tier breaker closed) *and* the full-fidelity demand fits the
-    /// committed headroom. Runs at every capacity-release point (finish,
-    /// close, empty play/seek) and after every served element, so a breaker
-    /// closing mid-run is picked up without a session event.
     /// Re-derives every active session's storage charge from current cache
     /// residency — the "re-evaluate admitted sessions as residency shifts"
     /// half of cache-aware admission. A session admitted cheaply against a
@@ -1152,21 +1118,62 @@ impl<S: BlobStore> Server<S> {
             return;
         }
         self.repriced_gen = generation;
-        for idx in 0..self.sessions.len() {
-            let s = &self.sessions[idx];
-            if !s.is_active() || s.released {
-                continue;
-            }
+        for s in self.sessions.iter_mut().filter(|s| s.is_active()) {
             let new_charged =
-                s.demand * residency_discount(&self.cache, s.blob, &s.plans, &s.pending);
-            let old_charged = s.charged;
-            if new_charged != old_charged {
-                self.sessions[idx].charged = new_charged;
-                self.committed = self.committed - old_charged + new_charged;
+                s.demand * residency_discount(&self.cache, &s.plan, s.pending.clone());
+            if new_charged != s.charged {
+                self.committed = self.committed - s.charged + new_charged;
+                s.charged = new_charged;
             }
         }
     }
 
+    /// Moves slot `idx` onto `plan` — its object's other fidelity — at
+    /// `at`: the session's demand and storage charge are re-priced, and its
+    /// remaining elements re-anchored and requeued under the new byte
+    /// demands (queued jobs of the old epoch go stale, exactly as for
+    /// Seek/SetRate). Recorded as a `name` trace event.
+    fn replan(&mut self, idx: usize, plan: Arc<ObjectPlan>, at: TimePoint, name: &'static str) {
+        let s = &mut self.sessions[idx];
+        let was = s.is_capped_live();
+        let (num, den) = s.rate;
+        let new_demand = plan.unit_demand * Rational::new(num as i64, den as i64);
+        let new_charged = if self.capacity.cache_aware {
+            new_demand * residency_discount(&self.cache, &plan, s.pending.clone())
+        } else {
+            new_demand
+        };
+        self.committed = self.committed - s.charged + new_charged;
+        self.committed_decode = self.committed_decode - s.demand + new_demand;
+        s.plan = plan;
+        s.demand = new_demand;
+        s.charged = new_charged;
+        self.capped_live = self.capped_live - was as usize + s.is_capped_live() as usize;
+        let remaining = s.pending.len();
+        self.tracer.event_with(
+            name,
+            Category::Session,
+            at,
+            s.span,
+            Some(s.id.raw()),
+            || vec![("remaining", remaining.into())],
+        );
+        if s.state == SessionState::Playing {
+            s.anchor(at);
+            self.enqueue_next(idx);
+        } else {
+            s.epoch += 1;
+        }
+    }
+
+    /// Re-admits degraded-fidelity sessions at full fidelity — the recovery
+    /// half of the degraded admission path. A capped session is upgraded
+    /// when the store is fully healthy again (every tier breaker closed)
+    /// *and* the full-fidelity demand fits the committed headroom. Runs at
+    /// every capacity-release point (finish, close, empty play/seek) and
+    /// after every served element, so a breaker closing mid-run is picked
+    /// up without a session event — and costs one compare while no session
+    /// is capped.
     fn try_upgrade_sessions(&mut self, now: TimePoint) {
         // If cache residency shifted since the last pass, reprice every
         // active session's storage charge first, so the upgrade checks
@@ -1180,92 +1187,33 @@ impl<S: BlobStore> Server<S> {
         if self.capacity.policy == AdmissionPolicy::AdmitAll {
             return; // AdmitAll never degrades, so there is nothing to lift
         }
-        if !self
-            .sessions
-            .iter()
-            .any(|s| s.is_active() && s.layers_cap.is_some() && !s.pending.is_empty())
-        {
+        if self.capped_live == 0 {
             return;
         }
         if self.db.store().health_percent() < 100 {
             return; // a tier is still open; keep sessions on the cheap path
         }
         for idx in 0..self.sessions.len() {
-            let (object, new_demand) = {
-                let s = &self.sessions[idx];
-                if !s.is_active() || s.layers_cap.is_none() || s.pending.is_empty() {
-                    continue;
-                }
-                let (num, den) = s.rate;
-                let new_demand = s.full_unit_demand * Rational::new(num as i64, den as i64);
-                // Upgrades gate at the full, undiscounted demand even under
-                // cache-aware admission (conservative: the layers an upgrade
-                // adds are exactly the ones least likely to be resident);
-                // the charge actually booked below is discounted.
-                if !self.capacity.fits_staged(
-                    self.committed - s.charged,
-                    self.committed_decode - s.demand,
-                    new_demand,
-                    new_demand,
-                ) {
-                    continue;
-                }
-                (s.object.clone(), new_demand)
-            };
-            let Ok((_, stream)) = self.db.stream_of(&object) else {
+            let s = &self.sessions[idx];
+            if !s.is_capped_live() {
                 continue;
-            };
-            let jobs = schedule_from_interp(stream, None);
-            let plans: Vec<ServePlan> = jobs
-                .iter()
-                .map(|j| {
-                    let entry = &stream.entries()[j.index];
-                    ServePlan {
-                        spans: entry.placement.layers().to_vec(),
-                        checksums: entry.checksums.clone(),
-                    }
-                })
-                .collect();
-            let s = &mut self.sessions[idx];
-            if jobs.len() != s.jobs.len() {
-                continue; // catalog reshaped under the session; keep the cap
             }
-            let new_charged = if self.capacity.cache_aware {
-                new_demand * residency_discount(&self.cache, s.blob, &plans, &s.pending)
-            } else {
-                new_demand
-            };
-            let old = s.demand;
-            let old_charged = s.charged;
-            s.jobs = jobs;
-            s.plans = plans;
-            s.layers_cap = None;
-            s.decision = AdmitDecision::Admitted;
-            s.unit_demand = s.full_unit_demand;
-            s.demand = new_demand;
-            s.charged = new_charged;
-            let remaining = s.pending.len();
-            let id = s.id;
-            let span = s.span;
-            self.committed = self.committed - old_charged + new_charged;
-            self.committed_decode = self.committed_decode - old + new_demand;
-            self.metrics.inc(M_UPGRADED, 1);
-            self.tracer.event(
-                "session.upgrade",
-                Category::Session,
-                now,
-                span,
-                Some(id.raw()),
-                vec![("remaining", remaining.into())],
-            );
-            if self.sessions[idx].state == SessionState::Playing {
-                // Re-anchor and requeue the remaining elements under the
-                // full-fidelity byte demands; queued jobs of the old epoch
-                // go stale, exactly as for Seek/SetRate.
-                self.sessions[idx].anchor(now);
-                self.enqueue_next(id);
-            } else {
-                self.sessions[idx].epoch += 1;
+            let full = &self.plans[&s.plan.object].full;
+            let (num, den) = s.rate;
+            let new_demand = full.unit_demand * Rational::new(num as i64, den as i64);
+            // Upgrades gate at the full, undiscounted demand even under
+            // cache-aware admission (conservative: the layers an upgrade
+            // adds are exactly the ones least likely to be resident);
+            // the charge actually booked by `replan` is discounted.
+            if self.capacity.fits_staged(
+                self.committed - s.charged,
+                self.committed_decode - s.demand,
+                new_demand,
+                new_demand,
+            ) {
+                let full = Arc::clone(full);
+                self.metrics.inc_at(self.ids.upgraded, 1);
+                self.replan(idx, full, now, "session.upgrade");
             }
         }
     }
@@ -1273,92 +1221,31 @@ impl<S: BlobStore> Server<S> {
     /// Forces every active full-fidelity session with work left onto its
     /// base layer — the remediation plane's degradation lever, the paper's
     /// Def. 6 rule ("materialize a cheaper variant when too slow") applied
-    /// fleet-wide. Each forced session is re-planned at one layer, its
-    /// demand re-priced, and its remaining elements re-anchored at `at`;
-    /// non-scalable streams are left alone. Sets a sticky hold so the
-    /// automatic upgrade path cannot lift the cap (it otherwise runs after
-    /// every served element); [`Server::release_degrade`] clears the hold
-    /// and restores exactly the sessions forced here. Returns the number
-    /// of sessions degraded.
+    /// fleet-wide. Each forced session is moved to its object's base-layer
+    /// plan, its demand re-priced, and its remaining elements re-anchored
+    /// at `at`; non-scalable streams are left alone. Sets a sticky hold so
+    /// the automatic upgrade path cannot lift the cap (it otherwise runs
+    /// after every served element); [`Server::release_degrade`] clears the
+    /// hold and restores exactly the sessions forced here. Returns the
+    /// number of sessions degraded.
     pub fn force_degrade(&mut self, at: TimePoint) -> usize {
         self.upgrade_hold = true;
         let at = at.max(self.clock);
         let mut count = 0usize;
         for idx in 0..self.sessions.len() {
-            let object = {
-                let s = &self.sessions[idx];
-                if !s.is_active() || s.layers_cap.is_some() || s.pending.is_empty() {
-                    continue;
-                }
-                s.object.clone()
-            };
-            let Ok((_, stream)) = self.db.stream_of(&object) else {
+            let s = &self.sessions[idx];
+            if !s.is_active() || s.plan.layers_cap.is_some() || s.pending.is_empty() {
                 continue;
-            };
-            if !stream
-                .entries()
-                .iter()
-                .any(|e| e.placement.layer_count() > 1)
-            {
+            }
+            let Some(base) = self.plans[&s.plan.object].base.clone() else {
                 continue; // nothing to shed on a single-layer stream
-            }
-            let system = stream.system();
-            let jobs = schedule_from_interp(stream, Some(1));
-            let base_unit = demanded_rate(&jobs, system).unwrap_or(Rational::ZERO);
-            let plans: Vec<ServePlan> = jobs
-                .iter()
-                .map(|j| {
-                    let entry = &stream.entries()[j.index];
-                    let all = entry.placement.layers();
-                    ServePlan {
-                        spans: all.iter().take(1).cloned().collect(),
-                        checksums: entry.checksums.iter().copied().take(1).collect(),
-                    }
-                })
-                .collect();
-            let s = &mut self.sessions[idx];
-            if jobs.len() != s.jobs.len() {
-                continue; // catalog reshaped under the session; leave it
-            }
-            let (num, den) = s.rate;
-            let new_demand = base_unit * Rational::new(num as i64, den as i64);
-            let new_charged = if self.capacity.cache_aware {
-                new_demand * residency_discount(&self.cache, s.blob, &plans, &s.pending)
-            } else {
-                new_demand
             };
-            let old = s.demand;
-            let old_charged = s.charged;
-            s.jobs = jobs;
-            s.plans = plans;
-            s.layers_cap = Some(1);
-            s.decision = AdmitDecision::Degraded { layers: 1 };
-            s.unit_demand = base_unit;
-            s.demand = new_demand;
-            s.charged = new_charged;
-            let remaining = s.pending.len();
-            let id = s.id;
-            let span = s.span;
-            self.committed = self.committed - old_charged + new_charged;
-            self.committed_decode = self.committed_decode - old + new_demand;
-            self.forced.insert(id.raw());
-            self.metrics.inc(M_FORCED, 1);
-            self.tracer.event(
-                "session.force_degrade",
-                Category::Session,
-                at,
-                span,
-                Some(id.raw()),
-                vec![("remaining", remaining.into())],
-            );
-            if self.sessions[idx].state == SessionState::Playing {
-                self.sessions[idx].anchor(at);
-                self.enqueue_next(id);
-            } else {
-                self.sessions[idx].epoch += 1;
-            }
+            self.forced.insert(s.id.raw());
+            self.metrics.inc_at(self.ids.forced, 1);
+            self.replan(idx, base, at, "session.force_degrade");
             count += 1;
         }
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         count
     }
 
@@ -1371,76 +1258,22 @@ impl<S: BlobStore> Server<S> {
     pub fn release_degrade(&mut self, at: TimePoint) -> usize {
         self.upgrade_hold = false;
         let at = at.max(self.clock);
-        let forced: Vec<u64> = std::mem::take(&mut self.forced).into_iter().collect();
         let mut count = 0usize;
-        for raw in forced {
+        for raw in std::mem::take(&mut self.forced) {
             let Some(idx) = self.checked_slot(SessionId::new(raw)) else {
                 continue;
             };
-            let object = {
-                let s = &self.sessions[idx];
-                if !s.is_active() || s.layers_cap.is_none() || s.pending.is_empty() {
-                    continue;
-                }
-                s.object.clone()
-            };
-            let Ok((_, stream)) = self.db.stream_of(&object) else {
-                continue;
-            };
-            let jobs = schedule_from_interp(stream, None);
-            let plans: Vec<ServePlan> = jobs
-                .iter()
-                .map(|j| {
-                    let entry = &stream.entries()[j.index];
-                    ServePlan {
-                        spans: entry.placement.layers().to_vec(),
-                        checksums: entry.checksums.clone(),
-                    }
-                })
-                .collect();
-            let s = &mut self.sessions[idx];
-            if jobs.len() != s.jobs.len() {
+            let s = &self.sessions[idx];
+            if !s.is_capped_live() {
                 continue;
             }
-            let (num, den) = s.rate;
-            let new_demand = s.full_unit_demand * Rational::new(num as i64, den as i64);
-            let new_charged = if self.capacity.cache_aware {
-                new_demand * residency_discount(&self.cache, s.blob, &plans, &s.pending)
-            } else {
-                new_demand
-            };
-            let old = s.demand;
-            let old_charged = s.charged;
-            s.jobs = jobs;
-            s.plans = plans;
-            s.layers_cap = None;
-            s.decision = AdmitDecision::Admitted;
-            s.unit_demand = s.full_unit_demand;
-            s.demand = new_demand;
-            s.charged = new_charged;
-            let remaining = s.pending.len();
-            let id = s.id;
-            let span = s.span;
-            self.committed = self.committed - old_charged + new_charged;
-            self.committed_decode = self.committed_decode - old + new_demand;
-            self.metrics.inc(M_UPGRADED, 1);
-            self.tracer.event(
-                "session.upgrade",
-                Category::Session,
-                at,
-                span,
-                Some(id.raw()),
-                vec![("remaining", remaining.into())],
-            );
-            if self.sessions[idx].state == SessionState::Playing {
-                self.sessions[idx].anchor(at);
-                self.enqueue_next(id);
-            } else {
-                self.sessions[idx].epoch += 1;
-            }
+            let full = Arc::clone(&self.plans[&s.plan.object].full);
+            self.metrics.inc_at(self.ids.upgraded, 1);
+            self.replan(idx, full, at, "session.upgrade");
             count += 1;
         }
         self.try_upgrade_sessions(at);
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         count
     }
 
@@ -1450,14 +1283,103 @@ impl<S: BlobStore> Server<S> {
     pub fn set_cache_budget(&mut self, budget_bytes: u64) -> u64 {
         let prev = self.cache.set_budget(budget_bytes);
         self.metrics
-            .set_gauge(G_CACHE_BYTES, self.cache.bytes_cached() as i64);
+            .set_gauge_at(self.ids.cache_bytes, self.cache.bytes_cached() as i64);
         // A shrink can evict spans that admitted sessions were priced
         // against; re-charge them right away so the very next admission
         // sees honest headroom.
         if self.capacity.cache_aware && self.capacity.policy == AdmissionPolicy::Enforce {
             self.reprice_sessions();
         }
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         prev
+    }
+
+    /// Recounts everything the server keeps a running tally of, and checks
+    /// the structural invariants the event loop relies on:
+    ///
+    /// * `active` and `capped_live` equal a recount of the session table;
+    /// * capacity conservation on both stages — `committed` is the sum of
+    ///   the active sessions' `charged`, `committed_decode` of their
+    ///   `demand`;
+    /// * every session's `pending` lies inside its plan, only an active
+    ///   session has anything pending, and a playing session has work;
+    /// * a playing session has exactly one live heap entry — its first
+    ///   pending element under the current anchor — and nobody else has any;
+    /// * the fault partition `faults == degraded + dropped + repaired`.
+    ///
+    /// `Err` names the first violation. The server checks itself with this
+    /// under `debug_assert!` after every public mutation; storm tests call
+    /// it explicitly.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let (mut active, mut capped_live) = (0usize, 0usize);
+        let (mut charged, mut demand) = (Some(Rational::ZERO), Some(Rational::ZERO));
+        for s in &self.sessions {
+            let id = s.id;
+            let p = &s.pending;
+            let jobs = s.plan.jobs.len();
+            if p.start > p.end || p.end > jobs {
+                return Err(format!("{id}: pending {p:?} outside its {jobs} jobs"));
+            }
+            if !s.is_active() && !p.is_empty() && s.state != SessionState::Closed {
+                return Err(format!("{id}: {} with {} pending", s.state, p.len()));
+            }
+            if s.state == SessionState::Playing && p.is_empty() {
+                return Err(format!("{id}: playing with nothing pending"));
+            }
+            if s.is_active() {
+                active += 1;
+                capped_live += s.is_capped_live() as usize;
+                // An overflowing recount proves nothing either way.
+                charged = charged.and_then(|sum| sum.checked_add(s.charged).ok());
+                demand = demand.and_then(|sum| sum.checked_add(s.demand).ok());
+            }
+        }
+        if (active, capped_live) != (self.active, self.capped_live) {
+            return Err(format!(
+                "tallies say {} active / {} capped-live, the table {active} / {capped_live}",
+                self.active, self.capped_live
+            ));
+        }
+        if charged.is_some_and(|sum| sum != self.committed) {
+            return Err(format!(
+                "committed {} but sessions are charged {charged:?}",
+                self.committed
+            ));
+        }
+        if demand.is_some_and(|sum| sum != self.committed_decode) {
+            return Err(format!(
+                "committed_decode {} but sessions demand {demand:?}",
+                self.committed_decode
+            ));
+        }
+
+        let mut live = vec![0u32; self.sessions.len()];
+        for &Reverse(job) in &self.heap {
+            let idx = (job.session - self.session_base) as usize;
+            let s = &self.sessions[idx];
+            if s.epoch != job.epoch || s.state != SessionState::Playing {
+                continue; // stale
+            }
+            live[idx] += 1;
+            if Some(job) != Self::head_job(s) {
+                return Err(format!("{}: live heap entry {job:?} is not its head", s.id));
+            }
+        }
+        for (s, &n) in self.sessions.iter().zip(&live) {
+            if n != (s.state == SessionState::Playing) as u32 {
+                return Err(format!("{}: {} with {n} live heap entries", s.id, s.state));
+            }
+        }
+
+        let m = &self.metrics;
+        let resolved = m.counter(M_DEGRADED) + m.counter(M_DROPPED) + m.counter(M_REPAIRED);
+        if m.counter(M_FAULTS) != resolved {
+            return Err(format!(
+                "{} faults detected but {resolved} resolved",
+                m.counter(M_FAULTS)
+            ));
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1471,16 +1393,17 @@ impl<S: BlobStore> Server<S> {
     /// the session's successor only in the latter case.
     fn serve_job(&mut self, job: QueuedJob) -> bool {
         let idx = (job.session - self.session_base) as usize;
-        {
-            let s = &self.sessions[idx];
-            if s.epoch != job.epoch || s.state != SessionState::Playing {
-                return false; // stale: paused, re-anchored or closed since queueing
-            }
-        }
-        let store = self.db.store();
         let s = &mut self.sessions[idx];
-        let plan = &s.plans[job.pos];
-        let blob = s.blob;
+        if s.epoch != job.epoch || s.state != SessionState::Playing {
+            return false; // stale: paused, re-anchored or closed since queueing
+        }
+        debug_assert_eq!(job.pos, s.pending.start, "sessions are served in order");
+        let store = self.db.store();
+        let ids = self.ids;
+        let traced = self.tracer.is_enabled();
+        let plan = &*s.plan;
+        let layers = plan.layers_of(job.pos);
+        let blob = plan.blob;
 
         // The channel dispatches this element when it frees up (or at the
         // anchor, whichever is later) — known before any read happens, so
@@ -1494,11 +1417,11 @@ impl<S: BlobStore> Server<S> {
         // A tiered store runs its breakers and outage scripts on the same
         // simulated instant the element is dispatched at.
         store.set_sim_now(start);
-        // Slack before this element is late — the store's hedging budget.
-        // None until the presentation clock is established.
-        let slack_us = s
-            .presentation_deadline(job.pos)
-            .map(|d| micros((d - start).max(TimeDelta::ZERO).seconds()) as u64);
+        // The element was queued `job.deadline - play_time` past the
+        // anchor; it is due the same distance past the presentation
+        // clock's base, once the first element after the anchor has set
+        // that.
+        let due = s.clock_base.map(|base| base + (job.deadline - s.play_time));
         let span = self.tracer.begin_span(
             ELEMENT_SPAN,
             Category::Serve,
@@ -1517,31 +1440,34 @@ impl<S: BlobStore> Server<S> {
         let mut backoff_us = 0u64;
         let mut attempts_max = 1u32;
         let mut intact_layers = 0usize;
-        for (li, &layer_span) in plan.spans.iter().enumerate() {
+        for (li, &(layer_span, expected_crc)) in layers.iter().enumerate() {
+            let probe = || vec![("layer", li.into()), ("bytes", layer_span.len.into())];
             if self.cache.get(blob, layer_span).is_some() {
                 s.stats.cache_hits += 1;
                 bytes_decoded += layer_span.len;
                 intact_layers += 1;
-                self.tracer.event(
+                self.tracer.event_with(
                     "cache.hit",
                     Category::Cache,
                     start,
                     span,
                     Some(job.session),
-                    vec![("layer", li.into()), ("bytes", layer_span.len.into())],
+                    probe,
                 );
                 continue;
             }
             s.stats.cache_misses += 1;
-            self.tracer.event(
+            self.tracer.event_with(
                 "cache.miss",
                 Category::Cache,
                 start,
                 span,
                 Some(job.session),
-                vec![("layer", li.into()), ("bytes", layer_span.len.into())],
+                probe,
             );
-            let expected_crc = plan.checksums.get(li).copied();
+            // Slack before this element is late — the store's hedging
+            // budget. None until the presentation clock is established.
+            let slack_us = due.map(|d| micros((d - start).max(TimeDelta::ZERO).seconds()) as u64);
             let (result, report) = self.retry.run(|attempt| {
                 let mut buf = vec![0u8; layer_span.len as usize];
                 let ctx = ReadCtx {
@@ -1572,13 +1498,13 @@ impl<S: BlobStore> Server<S> {
                 Err(_) => false,
             };
             if !intact {
-                self.metrics.inc(M_FAULTS, 1);
+                self.metrics.inc_at(ids.faults, 1);
                 break;
             }
             intact_layers += 1;
         }
         let bytes_from_store = bytes_first + bytes_retry;
-        self.metrics.inc(M_BYTES_READ, bytes_from_store);
+        self.metrics.inc_at(ids.bytes_read, bytes_from_store);
         // Tier accounting: the slice of the store's latency hint spent on
         // failed attempts and slow-tier failover serves, and whether a tier
         // was healed from a verifying peer during these reads. Zero for
@@ -1587,7 +1513,8 @@ impl<S: BlobStore> Server<S> {
         let repairs = store.drain_repairs();
 
         // The same ladder as ResilientPlayer, expressed per session.
-        let fate = if intact_layers == plan.spans.len() {
+        let all_intact = intact_layers == layers.len();
+        let fate = if all_intact {
             if attempts_max > 1 {
                 ElementFate::Recovered {
                     attempts: attempts_max,
@@ -1622,30 +1549,30 @@ impl<S: BlobStore> Server<S> {
             ElementFate::Recovered { .. } => {
                 s.have_good = true;
                 s.stats.recovered += 1;
-                self.metrics.inc(M_RECOVERED, 1);
+                self.metrics.inc_at(ids.recovered, 1);
             }
             ElementFate::BaseLayers { .. } => {
                 s.have_good = true;
                 s.stats.degraded += 1;
-                self.metrics.inc(M_DEGRADED, 1);
+                self.metrics.inc_at(ids.degraded, 1);
             }
             ElementFate::Repeated => {
                 s.stats.degraded += 1;
-                self.metrics.inc(M_DEGRADED, 1);
+                self.metrics.inc_at(ids.degraded, 1);
             }
             ElementFate::Dropped => {
                 s.stats.dropped += 1;
-                self.metrics.inc(M_DROPPED, 1);
+                self.metrics.inc_at(ids.dropped, 1);
             }
         }
         // A cross-tier repair that still produced a fully intact element is
         // a detected fault resolved by healing instead of degradation — the
         // third leg of the fault-accounting partition. Elements that end
         // degraded or dropped anyway keep their single ladder fault.
-        if repairs > 0 && intact_layers == plan.spans.len() {
+        if repairs > 0 && all_intact {
             s.stats.repaired += 1;
-            self.metrics.inc(M_REPAIRED, 1);
-            self.metrics.inc(M_FAULTS, 1);
+            self.metrics.inc_at(ids.repaired, 1);
+            self.metrics.inc_at(ids.faults, 1);
         }
 
         // Timing through the shared channel: cache hits skip the storage
@@ -1667,99 +1594,87 @@ impl<S: BlobStore> Server<S> {
         let penalty_us = backoff_us + hint_us;
         let service = TimeDelta::from_seconds(first_cost + retry_cost + decode_cost)
             + TimeDelta::from_micros(penalty_us as i64);
-        // The failover share of the hint is split out so miss attribution
-        // can rank tier failover separately from plain storage latency; the
-        // sum (and hence the timing) is unchanged.
-        let storage_us = micros(first_cost) + hint_us.saturating_sub(failover_us) as i64;
-        let retry_us = micros(retry_cost) + backoff_us as i64;
-        let decode_us = micros(decode_cost);
         let ready = start + service;
         self.busy_until = ready;
 
-        // How long the element sat behind *other* traffic before dispatch:
-        // channel wait beyond this session's own anchor/pipeline position.
-        // The node-outage stall is split out so a handoff-delayed element
-        // reads as `node-loss`, not admission over-commit; the two sum to
-        // the old single wait, so timing is bit-identical when never
-        // stalled.
-        let wait_base = s.play_time.max(s.last_ready);
-        let wait_us = micros((natural_start - wait_base).max(TimeDelta::ZERO).seconds());
-        let nodeloss_us = micros((start - natural_start).seconds());
-
         // The presentation clock starts when the first element after the
         // anchor completes (a one-element startup buffer).
-        let deadline = match s.presentation_deadline(job.pos) {
-            Some(d) => d,
-            None => {
-                s.clock_base = Some(ready);
-                ready
-            }
-        };
+        let deadline = due.unwrap_or(ready);
+        if due.is_none() {
+            s.clock_base = Some(ready);
+        }
         let lateness = (ready - deadline).max(TimeDelta::ZERO);
         let lateness_us = micros(lateness.seconds());
-        // Lateness carried over from the previous element's overrun: the
-        // part of this miss that is inherited backlog, not this element's
-        // own doing.
-        let inherited_us = s.last_lateness_us.min(lateness_us).max(0);
         s.stats.elements += 1;
-        self.metrics.inc(M_ELEMENTS, 1);
-        self.metrics.observe(
-            H_SERVICE,
-            &LATENCY_BUCKETS_US,
-            micros(service.seconds()) as u64,
-        );
-        if bytes_from_store > 0 {
-            self.metrics.observe(
-                H_READ,
-                &LATENCY_BUCKETS_US,
-                (storage_us + retry_us + failover_us as i64) as u64,
-            );
-        }
+        self.metrics.inc_at(ids.elements, 1);
+        self.metrics
+            .observe_at(ids.service, micros(service.seconds()) as u64);
         if lateness > TimeDelta::ZERO {
             s.stats.misses += 1;
-            self.metrics.inc(M_MISSES, 1);
-            self.metrics
-                .observe(H_LATENESS, &LATENCY_BUCKETS_US, lateness_us as u64);
+            self.metrics.inc_at(ids.misses, 1);
+            self.metrics.observe_at(ids.lateness, lateness_us as u64);
             // The fidelity split feeds the telemetry plane: degraded
             // sessions' lateness is a different population (base-layer-only
             // admissions under pressure), and queries like "p99 lateness
             // for degraded sessions" need the two recorded apart.
-            let by_fidelity = if matches!(s.decision, AdmitDecision::Degraded { .. }) {
-                H_LATENESS_DEGRADED
+            let by_fidelity = if plan.layers_cap.is_some() {
+                ids.lateness_degraded
             } else {
-                H_LATENESS_FULL
+                ids.lateness_full
             };
-            self.metrics
-                .observe(by_fidelity, &LATENCY_BUCKETS_US, lateness_us as u64);
+            self.metrics.observe_at(by_fidelity, lateness_us as u64);
             s.stats.max_lateness = s.stats.max_lateness.max(lateness);
+        }
+        self.metrics
+            .set_gauge_at(ids.cache_bytes, self.cache.bytes_cached() as i64);
+
+        if bytes_from_store > 0 || traced {
+            // The failover share of the hint is split out so miss
+            // attribution can rank tier failover separately from plain
+            // storage latency; the sum (and hence the timing) is unchanged.
+            let storage_us = micros(first_cost) + hint_us.saturating_sub(failover_us) as i64;
+            let retry_us = micros(retry_cost) + backoff_us as i64;
+            if bytes_from_store > 0 {
+                self.metrics.observe_at(
+                    ids.read,
+                    (storage_us + retry_us + failover_us as i64) as u64,
+                );
+            }
+            if traced {
+                // How long the element sat behind *other* traffic before
+                // dispatch: channel wait beyond this session's own
+                // anchor/pipeline position. The node-outage stall is split
+                // out so a handoff-delayed element reads as `node-loss`,
+                // not admission over-commit; the two sum to the old single
+                // wait, so timing is bit-identical when never stalled.
+                let wait_base = s.play_time.max(s.last_ready);
+                let wait_us = micros((natural_start - wait_base).max(TimeDelta::ZERO).seconds());
+                let nodeloss_us = micros((start - natural_start).seconds());
+                // Lateness carried over from the previous element's
+                // overrun: the part of this miss that is inherited backlog,
+                // not this element's own doing.
+                let inherited_us = s.last_lateness_us.min(lateness_us).max(0);
+                self.tracer.attr(span, "fate", fate_label);
+                self.tracer.attr(span, ATTR_WAIT_US, wait_us);
+                self.tracer.attr(span, ATTR_NODELOSS_US, nodeloss_us);
+                self.tracer.attr(span, ATTR_STORAGE_US, storage_us);
+                self.tracer.attr(span, ATTR_RETRY_US, retry_us);
+                self.tracer.attr(span, ATTR_FAILOVER_US, failover_us as i64);
+                self.tracer.attr(span, ATTR_DECODE_US, micros(decode_cost));
+                self.tracer.attr(span, ATTR_INHERITED_US, inherited_us);
+                self.tracer.attr(span, ATTR_LATENESS_US, lateness_us);
+                self.tracer.end_span(span, ready);
+            }
         }
         s.last_ready = ready;
         s.last_lateness_us = lateness_us;
-        self.metrics
-            .set_gauge(G_CACHE_BYTES, self.cache.stats().bytes_cached as i64);
 
-        self.tracer.attr(span, "fate", fate_label);
-        self.tracer.attr(span, ATTR_WAIT_US, wait_us);
-        self.tracer.attr(span, ATTR_NODELOSS_US, nodeloss_us);
-        self.tracer.attr(span, ATTR_STORAGE_US, storage_us);
-        self.tracer.attr(span, ATTR_RETRY_US, retry_us);
-        self.tracer.attr(span, ATTR_FAILOVER_US, failover_us as i64);
-        self.tracer.attr(span, ATTR_DECODE_US, decode_us);
-        self.tracer.attr(span, ATTR_INHERITED_US, inherited_us);
-        self.tracer.attr(span, ATTR_LATENESS_US, lateness_us);
-        self.tracer.end_span(span, ready);
-
-        s.pending.remove(&job.pos);
-        if s.pending.is_empty() {
-            s.state = SessionState::Finished;
-            let demand = s.demand;
-            let charged = s.charged;
-            let root = s.span;
-            let already = std::mem::replace(&mut s.released, true);
-            if !already {
-                self.committed -= charged;
-                self.committed_decode -= demand;
-            }
+        let root = s.span;
+        let rest = job.pos + 1..s.pending.end;
+        let done = rest.is_empty();
+        self.set_pending(idx, rest);
+        if done {
+            self.retire(idx, SessionState::Finished);
             self.tracer.end_span(root, ready);
         }
         // After every served element: a finished session just released

@@ -2,12 +2,14 @@
 //! request/response API that drives them.
 
 use crate::AdmitDecision;
-use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 use tbm_blob::ByteSpan;
 use tbm_core::{BlobId, SessionId};
+use tbm_interp::StreamInterp;
 use tbm_obs::SpanId;
-use tbm_player::ElementJob;
+use tbm_player::{demanded_rate, schedule_from_interp, ElementJob};
 use tbm_time::{Rational, TimeDelta, TimePoint, TimeSystem};
 
 /// The lifecycle of a session.
@@ -164,14 +166,82 @@ impl SessionStats {
     }
 }
 
-/// The fetch plan of one scheduled element: the placement spans the session
-/// is allowed to read (capped at its admitted fidelity) and their recorded
-/// checksums. Precomputed at admission so serving an element never needs
-/// the catalog.
-#[derive(Debug, Clone)]
-pub(crate) struct ServePlan {
-    pub spans: Vec<ByteSpan>,
-    pub checksums: Vec<u32>,
+/// Everything a server derives from one catalog object at one fidelity:
+/// the unit-rate schedule, every element's fetch plan (the placement spans
+/// a session may read, capped at `layers_cap`, with their recorded
+/// checksums) and the byte rate it commits.
+///
+/// Built on the first `Open` of the object and shared, immutably, by every
+/// session playing it at this fidelity — a server's catalog cannot change
+/// while the server owns it, so a plan is valid for the server's lifetime.
+/// An upgrade or a forced degradation hands the session the object's other
+/// plan; serving an element never needs the catalog.
+#[derive(Debug)]
+pub(crate) struct ObjectPlan {
+    pub object: String,
+    pub blob: BlobId,
+    pub system: TimeSystem,
+    /// Placement layers a session on this plan may fetch per element
+    /// (`None` = full fidelity).
+    pub layers_cap: Option<usize>,
+    /// Unit-rate schedule relative to the stream start, in deadline order.
+    pub jobs: Vec<ElementJob>,
+    /// Every element's allowed spans and checksums, back to back.
+    layers: Vec<(ByteSpan, Option<u32>)>,
+    /// `layers[starts[pos]..starts[pos + 1]]` is the fetch plan of `pos`.
+    starts: Vec<usize>,
+    /// Bytes/s a session on this plan commits at unit rate.
+    pub unit_demand: Rational,
+}
+
+impl ObjectPlan {
+    pub(crate) fn build(
+        object: &str,
+        stream: &StreamInterp,
+        blob: BlobId,
+        layers_cap: Option<usize>,
+    ) -> ObjectPlan {
+        let jobs = schedule_from_interp(stream, layers_cap);
+        debug_assert!(jobs.windows(2).all(|w| w[0].deadline <= w[1].deadline));
+        let unit_demand = demanded_rate(&jobs, stream.system()).unwrap_or(Rational::ZERO);
+        let mut layers = Vec::new();
+        let mut starts = Vec::with_capacity(jobs.len() + 1);
+        for job in &jobs {
+            let entry = &stream.entries()[job.index];
+            let all = entry.placement.layers();
+            let take = layers_cap.unwrap_or(all.len()).min(all.len()).max(1);
+            starts.push(layers.len());
+            layers.extend(
+                all[..take]
+                    .iter()
+                    .enumerate()
+                    .map(|(li, &span)| (span, entry.checksums.get(li).copied())),
+            );
+        }
+        starts.push(layers.len());
+        ObjectPlan {
+            object: object.to_owned(),
+            blob,
+            system: stream.system(),
+            layers_cap,
+            jobs,
+            layers,
+            starts,
+            unit_demand,
+        }
+    }
+
+    /// The spans (and checksums) element `pos` fetches.
+    pub(crate) fn layers_of(&self, pos: usize) -> &[(ByteSpan, Option<u32>)] {
+        &self.layers[self.starts[pos]..self.starts[pos + 1]]
+    }
+
+    /// The spans every element of `pending` fetches.
+    pub(crate) fn spans_of(&self, pending: Range<usize>) -> impl Iterator<Item = ByteSpan> + '_ {
+        self.layers[self.starts[pending.start]..self.starts[pending.end]]
+            .iter()
+            .map(|&(span, _)| span)
+    }
 }
 
 /// One client's playback session inside a [`crate::Server`].
@@ -181,17 +251,16 @@ pub(crate) struct ServePlan {
 #[derive(Debug)]
 pub struct Session {
     pub(crate) id: SessionId,
-    pub(crate) object: String,
-    pub(crate) blob: BlobId,
     pub(crate) state: SessionState,
-    pub(crate) decision: AdmitDecision,
-    pub(crate) system: TimeSystem,
-    /// Unit-rate schedule relative to the stream start (deadline order).
-    pub(crate) jobs: Vec<ElementJob>,
-    /// Fetch plans, parallel to `jobs`.
-    pub(crate) plans: Vec<ServePlan>,
-    /// Positions in `jobs` not yet served.
-    pub(crate) pending: BTreeSet<usize>,
+    /// The object's schedule and fetch plans at this session's fidelity.
+    /// Swapped for the object's other plan by an upgrade or a forced
+    /// degradation; `plan.layers_cap` is the session's fidelity cap, and
+    /// with it its standing admission decision.
+    pub(crate) plan: Arc<ObjectPlan>,
+    /// Positions in `plan.jobs` not yet served. Jobs are in deadline
+    /// order and served in order, so what is left is always a contiguous
+    /// run: serving advances the start, a seek resets it to a suffix.
+    pub(crate) pending: Range<usize>,
     /// Bumped on every Play/Pause/Seek/SetRate/Close so queued jobs from an
     /// older schedule generation are ignored when popped.
     pub(crate) epoch: u64,
@@ -206,16 +275,7 @@ pub struct Session {
     /// presentation clock runs from here (a one-element startup buffer,
     /// matching `PlaybackSim::with_startup(1)`).
     pub(crate) clock_base: Option<TimePoint>,
-    /// Fidelity cap from degraded admission: placement layers the session
-    /// may fetch per element (`None` = full fidelity). Cleared when the
-    /// session is upgraded back to the full-fidelity schedule.
-    pub(crate) layers_cap: Option<usize>,
-    /// Bytes/s the *full-fidelity* schedule would commit at unit rate —
-    /// what an upgrade from degraded admission must fit.
-    pub(crate) full_unit_demand: Rational,
-    /// Bytes/s this session commits against capacity at unit rate.
-    pub(crate) unit_demand: Rational,
-    /// Bytes/s currently committed (unit demand × rate).
+    /// Bytes/s currently committed (the plan's unit demand × rate).
     pub(crate) demand: Rational,
     /// Bytes/s currently charged against the *storage* stage. Equal to
     /// `demand` unless cache-aware admission is on, in which case it is
@@ -223,8 +283,6 @@ pub struct Session {
     /// resident in the segment cache — and it is repriced as residency
     /// shifts (see `Server::reprice_sessions`).
     pub(crate) charged: Rational,
-    /// Whether committed capacity has been released (Finished/Closed).
-    pub(crate) released: bool,
     /// Whether any element was presented intact (for the repeat ladder).
     pub(crate) have_good: bool,
     pub(crate) stats: SessionStats,
@@ -247,7 +305,7 @@ impl Session {
 
     /// The catalog object being served.
     pub fn object(&self) -> &str {
-        &self.object
+        &self.plan.object
     }
 
     /// The current lifecycle state.
@@ -255,9 +313,14 @@ impl Session {
         self.state
     }
 
-    /// The admission decision this session was created under.
+    /// The admission decision the session stands under: the one it was
+    /// created with, until an upgrade or a forced degradation changes its
+    /// fidelity.
     pub fn decision(&self) -> AdmitDecision {
-        self.decision
+        match self.plan.layers_cap {
+            None => AdmitDecision::Admitted,
+            Some(layers) => AdmitDecision::Degraded { layers },
+        }
     }
 
     /// The playback rate as `(num, den)` × normal speed.
@@ -267,7 +330,7 @@ impl Session {
 
     /// The time system of the stream being served.
     pub fn system(&self) -> TimeSystem {
-        self.system
+        self.plan.system
     }
 
     /// Bytes/s this session commits against the server's capacity.
@@ -300,35 +363,36 @@ impl Session {
         )
     }
 
-    /// The relative deadline of `pos`, scaled by the playback rate, in
-    /// seconds.
-    pub(crate) fn scaled_rel(&self, pos: usize) -> Rational {
+    /// `true` while the session is degraded *and* has something left to
+    /// play at better fidelity — what the upgrade pass looks for.
+    pub(crate) fn is_capped_live(&self) -> bool {
+        self.is_active() && self.plan.layers_cap.is_some() && !self.pending.is_empty()
+    }
+
+    /// How far past the anchor's first element `pos` is due, in seconds at
+    /// the current playback rate.
+    fn rel(&self, pos: usize) -> Rational {
         let (num, den) = self.rate;
-        self.jobs[pos].deadline.seconds() * Rational::new(den as i64, num as i64)
+        self.plan.jobs[pos].deadline.seconds() * Rational::new(den as i64, num as i64)
     }
 
-    /// The absolute deadline `pos` was queued under.
+    /// The absolute deadline `pos` is queued under: the anchor instant
+    /// plus its distance from the anchor's first element. The same
+    /// distance past the session's `clock_base` is its presentation
+    /// deadline, so the serve path recovers it from the queued deadline.
     pub(crate) fn queued_deadline(&self, pos: usize) -> TimePoint {
-        self.play_time + TimeDelta::from_seconds(self.scaled_rel(pos) - self.anchor_rel)
-    }
-
-    /// The presentation deadline of `pos` once the session clock is
-    /// established (first element after the anchor completes at lateness
-    /// zero).
-    pub(crate) fn presentation_deadline(&self, pos: usize) -> Option<TimePoint> {
-        let base = self.clock_base?;
-        Some(base + TimeDelta::from_seconds(self.scaled_rel(pos) - self.anchor_rel))
+        self.play_time + TimeDelta::from_seconds(self.rel(pos) - self.anchor_rel)
     }
 
     /// Re-anchors the schedule at `at` from the current first pending
     /// element, restarting the presentation clock.
     pub(crate) fn anchor(&mut self, at: TimePoint) {
         self.play_time = at;
-        self.anchor_rel = self
-            .pending
-            .first()
-            .map(|&p| self.scaled_rel(p))
-            .unwrap_or(Rational::ZERO);
+        self.anchor_rel = if self.pending.is_empty() {
+            Rational::ZERO
+        } else {
+            self.rel(self.pending.start)
+        };
         self.clock_base = None;
         self.epoch += 1;
     }

@@ -270,6 +270,16 @@ impl<S: BlobStore> ShardedDb<S> {
     }
 }
 
+/// [`Server::check_invariants`] over `shards`, stopping at the first
+/// failure and naming its shard.
+pub(crate) fn check_shards<S: BlobStore>(shards: &[Server<S>]) -> Result<(), String> {
+    shards.iter().enumerate().try_for_each(|(i, shard)| {
+        shard
+            .check_invariants()
+            .map_err(|e| format!("shard {i}: {e}"))
+    })
+}
+
 /// Cross-shard statistics: per-shard [`ServerStats`] snapshots plus their
 /// exact merge.
 #[derive(Debug, Clone, PartialEq)]
@@ -508,6 +518,19 @@ impl<S: BlobStore> ShardedServer<S> {
     pub fn session(&self, id: SessionId) -> Option<&Session> {
         self.shard_of_session(id)
             .and_then(|i| self.shards[i].session(id))
+    }
+
+    /// [`Server::check_invariants`] on every shard, in shard order; `Err`
+    /// names the first shard that fails.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        check_shards(&self.shards)
+    }
+
+    /// The shard servers themselves, for tests that pull a lever the front
+    /// end does not forward (`force_degrade`, `shed_pending`, ...).
+    #[cfg(test)]
+    pub(crate) fn shards_mut(&mut self) -> &mut [Server<S>] {
+        &mut self.shards
     }
 
     /// Routes a request to the owning shard: `Open` by name hash, session

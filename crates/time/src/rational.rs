@@ -43,6 +43,16 @@ fn gcd128(mut a: i128, mut b: i128) -> i128 {
     a
 }
 
+/// Greatest common divisor over `u64` magnitudes.
+fn gcd64(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        let t = a % b;
+        a = b;
+        b = t;
+    }
+    a
+}
+
 impl Rational {
     /// Exact zero.
     pub const ZERO: Rational = Rational { num: 0, den: 1 };
@@ -90,8 +100,39 @@ impl Rational {
     }
 
     /// Reduces an `i128` fraction into the `i64`-backed representation.
+    ///
+    /// Media timing keeps operands small, so the intermediate almost always
+    /// fits 64 bits: then Euclid and the divisions run on machine words,
+    /// and the 128-bit loop is only the fallback. Both paths return the
+    /// same value or the same error for every input.
     fn reduce(num: i128, den: i128) -> Result<Rational, TimeError> {
         debug_assert!(den != 0);
+        match (i64::try_from(num), i64::try_from(den)) {
+            (Ok(num), Ok(den)) => Self::reduce64(num, den),
+            _ => Self::reduce128(num, den),
+        }
+    }
+
+    /// [`Rational::reduce`] for operands that fit `i64`: magnitudes in
+    /// `u64` (so `i64::MIN` needs no special case), sign applied last.
+    fn reduce64(num: i64, den: i64) -> Result<Rational, TimeError> {
+        let negative = (num < 0) != (den < 0);
+        let (n, d) = (num.unsigned_abs(), den.unsigned_abs());
+        let g = gcd64(n, d); // den != 0, so g >= 1
+        let num = if negative {
+            0i64.checked_sub_unsigned(n / g)
+        } else {
+            i64::try_from(n / g).ok()
+        };
+        match (num, i64::try_from(d / g)) {
+            (Some(num), Ok(den)) => Ok(Rational { num, den }),
+            _ => Err(TimeError::Overflow { op: "reduce" }),
+        }
+    }
+
+    /// [`Rational::reduce`] entirely in `i128` — the fallback for wide
+    /// intermediates, and the reference the fast path is tested against.
+    fn reduce128(num: i128, den: i128) -> Result<Rational, TimeError> {
         let sign = if den < 0 { -1 } else { 1 };
         let g = gcd128(num, den);
         let (num, den) = if g == 0 {
@@ -481,5 +522,130 @@ mod tests {
         let b = Rational::new(1, 2);
         assert_eq!(a.min(b), a);
         assert_eq!(a.max(b), b);
+    }
+
+    /// The 64-bit fast path of `reduce` against the `i128`-only reduction,
+    /// which is kept as the reference: every constructor and operator must
+    /// return the same value or the same error through either.
+    mod fast_path {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestCaseError;
+
+        /// `checked_new` and the four operators as the seed computed them:
+        /// `i128` intermediates straight into `reduce128`.
+        fn reference(op: &'static str, a: Rational, b: Rational) -> Result<Rational, TimeError> {
+            let (an, ad, bn, bd) = (a.num as i128, a.den as i128, b.num as i128, b.den as i128);
+            let (num, den) = match op {
+                "add" => (an * bd + bn * ad, ad * bd),
+                "sub" => (an * bd - bn * ad, ad * bd),
+                "mul" => (an * bn, ad * bd),
+                "div" if bn == 0 => return Err(TimeError::DivisionByZero),
+                "div" => (an * bd, ad * bn),
+                _ => unreachable!("unknown op {op}"),
+            };
+            Rational::reduce128(num, den).map_err(|_| TimeError::Overflow { op })
+        }
+
+        fn check_ops(a: Rational, b: Rational) -> Result<(), TestCaseError> {
+            prop_assert_eq!(a.checked_add(b), reference("add", a, b));
+            prop_assert_eq!(a.checked_sub(b), reference("sub", a, b));
+            prop_assert_eq!(a.checked_mul(b), reference("mul", a, b));
+            prop_assert_eq!(a.checked_div(b), reference("div", a, b));
+            Ok(())
+        }
+
+        /// Edge values first, then the whole `i64` range.
+        fn wide() -> impl Strategy<Value = i64> {
+            prop_oneof![
+                Just(i64::MIN),
+                Just(i64::MIN + 1),
+                Just(i64::MAX),
+                Just(-1i64),
+                Just(0i64),
+                Just(1i64),
+                any::<i64>(),
+            ]
+        }
+
+        /// Operands whose pairwise products straddle the 64-bit boundary.
+        fn near_boundary() -> impl Strategy<Value = i64> {
+            let within = |bound: i64| -bound..bound;
+            prop_oneof![within(1 << 33), within(1 << 31), within(1_000_000)]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn checked_new_matches_reference(num in wide(), den in wide()) {
+                let want = if den == 0 {
+                    Err(TimeError::ZeroDenominator)
+                } else {
+                    Rational::reduce128(num as i128, den as i128)
+                };
+                prop_assert_eq!(Rational::checked_new(num, den), want.clone());
+                if let Ok(r) = want {
+                    prop_assert!(r.den > 0);
+                    prop_assert_eq!(gcd64(r.num.unsigned_abs(), r.den.unsigned_abs()), 1);
+                }
+            }
+
+            #[test]
+            fn operators_match_reference_over_i64(
+                an in wide(), ad in wide(), bn in wide(), bd in wide(),
+            ) {
+                // Build operands without going through `reduce`, so even
+                // values `checked_new` would refuse are exercised when they
+                // are valid (positive denominator, already reduced).
+                let (Ok(a), Ok(b)) = (
+                    Rational::reduce128(an as i128, ad.max(1) as i128),
+                    Rational::reduce128(bn as i128, bd.max(1) as i128),
+                ) else {
+                    return Ok(());
+                };
+                check_ops(a, b)?;
+            }
+
+            #[test]
+            fn operators_match_reference_around_64_bits(
+                an in near_boundary(), ad in near_boundary(),
+                bn in near_boundary(), bd in near_boundary(),
+            ) {
+                prop_assume!(ad != 0 && bd != 0);
+                let (a, b) = (Rational::new(an, ad), Rational::new(bn, bd));
+                // Both sides of the boundary must actually be hit.
+                check_ops(a, b)?;
+                check_ops(a * Rational::from(1 << 20), b)?;
+            }
+        }
+
+        #[test]
+        fn both_paths_are_exercised() {
+            // Fits 64 bits: the fast path; does not: the fallback.
+            let small = Rational::new(1 << 20, 3);
+            let big = Rational::new((1 << 40) + 1, 3);
+            assert!((small.num as i128 * small.num as i128) < i64::MAX as i128);
+            assert!((big.num as i128 * big.num as i128) > i64::MAX as i128);
+            assert_eq!(small.checked_mul(small), reference("mul", small, small));
+            assert_eq!(big.checked_mul(big), reference("mul", big, big));
+            // i64::MIN over a negative denominator does not fit once the
+            // sign moves to the numerator...
+            assert_eq!(
+                Rational::checked_new(i64::MIN, -1),
+                Err(TimeError::Overflow { op: "reduce" })
+            );
+            // ...unless the reduction shrinks it first.
+            assert_eq!(Rational::checked_new(i64::MIN, i64::MIN), Ok(Rational::ONE));
+            assert_eq!(
+                Rational::checked_new(i64::MIN, -2),
+                Ok(Rational::from(1i64 << 62))
+            );
+            assert_eq!(
+                Rational::checked_new(1, i64::MIN),
+                Err(TimeError::Overflow { op: "reduce" })
+            );
+            assert_eq!(Rational::checked_new(0, i64::MIN), Ok(Rational::ZERO));
+        }
     }
 }

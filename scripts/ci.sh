@@ -101,6 +101,21 @@ TBM_BENCH_OUT=target/bench_serve_ci.json \
     cargo run --release -q -p tbm-bench --bin exp_throughput > /dev/null
 [ -s target/bench_serve_ci.json ] || { echo "throughput smoke wrote no trajectory point" >&2; exit 1; }
 
+echo "==> benchmark smoke"
+# `perf`, the repository's benchmark, is a package of its own (see its
+# README), so the workspace build above never compiles it. Build it from
+# its own manifest and run the two serve-loop workloads briefly. Only the
+# exit status is read: a run fails when one of its output checks does (the
+# fault partition, every due element served, digests identical across
+# repetitions and at 1 vs 2 workers). No timing is gated here.
+perf_manifest=crates/bench/src/bin/perf/Cargo.toml
+cargo build --release --offline -q --manifest-path "$perf_manifest"
+for workload in storm_hot session_churn; do
+    echo "--> perf run $workload"
+    cargo run --release --offline -q --manifest-path "$perf_manifest" -- \
+        run "$workload" --seed 1 --seconds 3 > /dev/null
+done
+
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

@@ -111,6 +111,7 @@ fn kill_storm(
         }
     }
     let stats = fleet.finish();
+    fleet.check_invariants().unwrap();
 
     // The global snapshot is exactly the per-shard sum, wherever the
     // shards happened to be hosted.
@@ -290,6 +291,7 @@ fn partition_trips_the_breaker_and_fails_the_shards_over() {
         ids.push(id);
     }
     let stats = fleet.finish();
+    fleet.check_invariants().unwrap();
     assert!(
         stats.per_node[1].breaker_trips > 0,
         "the partition must trip node 1's breaker"
@@ -345,6 +347,7 @@ fn brownout_degrades_admission_and_recovery_upgrades_it() {
         .request(t(1_200), Request::Play { session: id })
         .unwrap();
     let stats = fleet.finish();
+    fleet.check_invariants().unwrap();
     assert_eq!(stats.shards.global.upgraded_sessions, 1);
     assert_eq!(stats.shards.global.finished_sessions, 1);
 }
@@ -370,6 +373,7 @@ fn fleet_metrics_roll_up_nodes_shards_and_fleet_counters() {
         }
     }
     let stats = fleet.finish();
+    fleet.check_invariants().unwrap();
     let m = fleet.metrics();
     // Shards partition the global count; nodes partition it too, along
     // the current placement.
@@ -451,6 +455,8 @@ mod prop {
                     }
                 }
                 let stats = fleet.finish();
+                fleet.check_invariants().unwrap();
+    fleet.check_invariants().unwrap();
                 let render = fleet.metrics().render();
                 (stats, opened, render)
             };

@@ -103,6 +103,7 @@ fn traced_storm(workers: usize, tick_ms: Option<i64>) -> Surface {
         }
     }
     let stats = server.finish();
+    server.check_invariants().unwrap();
     let mut chrome_trace = Vec::new();
     server.trace_to_writer(&mut chrome_trace).unwrap();
     Surface {
@@ -159,7 +160,9 @@ fn staged_drain_matches_sequential() {
             }
         }
         assert_eq!(server.set_workers(workers), 1, "staged at one worker");
-        (server.finish(), server.metrics().render())
+        let stats = server.finish();
+        server.check_invariants().unwrap();
+        (stats, server.metrics().render())
     };
     let (stats_1, metrics_1) = storm(1);
     for workers in [2usize, 4] {
@@ -328,6 +331,8 @@ fn eviction_reprices_admitted_sessions() {
         !matches!(c, AdmitDecision::Admitted),
         "repriced headroom must bounce the full-fidelity open: {c:?}"
     );
+    stays_hot.check_invariants().unwrap();
+    evicted.check_invariants().unwrap();
 }
 
 #[test]
@@ -367,6 +372,7 @@ fn batched_loop_counts_batches_and_spans_them_on_request() {
             .unwrap();
     }
     server.finish();
+    server.check_invariants().unwrap();
     assert!(
         server.metrics().counter("serve.batches") > 0,
         "same-deadline serves must be counted as batches"

@@ -75,7 +75,9 @@ fn storm(mut server: Server<FaultyBlobStore<MemBlobStore>>) -> (ServerStats, Vec
             server.request(at, Request::Play { session: id }).unwrap();
         }
     }
-    (server.finish(), decisions)
+    let stats = server.finish();
+    server.check_invariants().unwrap();
+    (stats, decisions)
 }
 
 #[test]
@@ -144,6 +146,7 @@ fn global_stats_are_the_sum_of_session_stats() {
         }
     }
     let stats = server.finish();
+    server.check_invariants().unwrap();
 
     let mut elements = 0;
     let mut misses = 0;

@@ -91,6 +91,7 @@ fn storm(
         opened.push((name, session));
     }
     let stats = server.finish();
+    server.check_invariants().unwrap();
 
     // No cross-shard stat leakage: each shard's snapshot is exactly the
     // sum of the sessions *it* admitted (identified by the id stride),
