@@ -1,23 +1,39 @@
 //! File-backed BLOB store: one file per BLOB under a directory.
 
 use crate::{BlobError, BlobStore, ByteSpan};
+use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use tbm_core::BlobId;
 
 /// A [`BlobStore`] persisting each BLOB as `<dir>/<id>.blob`.
 ///
-/// Appends go through a buffered writer per active BLOB; reads reopen the
-/// file and seek. This is intentionally simple — the paper treats BLOB
-/// layout as "a performance issue and not directly relevant to data
-/// modeling" — but it is a real, durable store usable by `tbm-db` for
-/// persistence and by benchmarks for measuring I/O-bound access patterns.
+/// An append opens the BLOB's file in append mode and writes straight
+/// through (no user-space buffer). A read is one positional read
+/// (`pread`) on a file handle the store keeps open: handles are opened on
+/// first use and held in a bounded table (64 per store, replaced
+/// round-robin when full), so a read formats no path and opens nothing
+/// once its BLOB's handle is cached. Appends land in the same file the
+/// cached handle refers to, so later reads see them.
+///
+/// While open, the store **owns its directory**: lengths are tracked in
+/// memory and handles stay open, so files that something else truncates,
+/// replaces or deletes underneath it are not noticed (a replaced file
+/// keeps serving its old bytes until its handle is recycled).
+///
+/// This is intentionally simple — the paper treats BLOB layout as "a
+/// performance issue and not directly relevant to data modeling" — but it
+/// is a real, durable store usable by `tbm-db` for persistence and by
+/// benchmarks for measuring I/O-bound access patterns.
 #[derive(Debug)]
 pub struct FileBlobStore {
     dir: PathBuf,
     lens: Vec<u64>,
     open_report: OpenReport,
+    /// Interior mutability because reads take `&self`; the store stays
+    /// `Send` (not `Sync`), which is all the serving pool asks of a store.
+    handles: RefCell<Handles>,
 }
 
 /// Why a file in the store directory was not adopted by [`FileBlobStore::open`].
@@ -53,6 +69,64 @@ impl OpenReport {
     pub fn is_clean(&self) -> bool {
         self.skipped.is_empty()
     }
+}
+
+/// Most read handles a store keeps open at once.
+const MAX_OPEN: usize = 64;
+
+/// The open read handles: at most [`MAX_OPEN`] `(blob id, file)` pairs, and
+/// for every BLOB the slot its handle sits in, so a lookup is two indexed
+/// loads whatever the table holds.
+#[derive(Debug, Default)]
+struct Handles {
+    open: Vec<(usize, File)>,
+    /// Indexed by BLOB id; `NO_SLOT` when the BLOB has no open handle.
+    slot_of: Vec<u8>,
+    /// The slot the next newcomer replaces once the table is full.
+    next_victim: usize,
+}
+
+const NO_SLOT: u8 = u8::MAX;
+const _: () = assert!(MAX_OPEN <= NO_SLOT as usize);
+
+impl Handles {
+    /// The open handle of BLOB `id` (already bounds-checked by the
+    /// caller), opening `path()` and recycling a slot if it has none.
+    fn get(&mut self, id: usize, path: impl FnOnce() -> PathBuf) -> std::io::Result<&File> {
+        if self.slot_of.len() <= id {
+            self.slot_of.resize(id + 1, NO_SLOT);
+        }
+        let mut slot = self.slot_of[id] as usize;
+        if slot == NO_SLOT as usize {
+            let file = File::open(path())?;
+            if self.open.len() < MAX_OPEN {
+                slot = self.open.len();
+                self.open.push((id, file));
+            } else {
+                slot = self.next_victim;
+                self.next_victim = (slot + 1) % MAX_OPEN;
+                let (evicted, _) = std::mem::replace(&mut self.open[slot], (id, file));
+                self.slot_of[evicted] = NO_SLOT;
+            }
+            self.slot_of[id] = slot as u8;
+        }
+        Ok(&self.open[slot].1)
+    }
+}
+
+/// Fills `buf` from `file` at `offset` without moving a file cursor.
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+/// Fills `buf` from `file` at `offset` (seek, then read, on the shared
+/// cursor: the store is not `Sync`, so no other read interleaves).
+#[cfg(not(unix))]
+fn read_exact_at(mut file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    use std::io::{Read, Seek, SeekFrom};
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(buf)
 }
 
 impl FileBlobStore {
@@ -103,6 +177,7 @@ impl FileBlobStore {
             dir,
             lens,
             open_report,
+            handles: RefCell::default(),
         })
     }
 
@@ -162,9 +237,9 @@ impl BlobStore for FileBlobStore {
                 blob_len,
             });
         }
-        let mut f = File::open(self.path(blob))?;
-        f.seek(SeekFrom::Start(span.offset))?;
-        f.read_exact(buf)?;
+        let mut handles = self.handles.borrow_mut();
+        let file = handles.get(blob.raw() as usize, || self.path(blob))?;
+        read_exact_at(file, buf, span.offset)?;
         Ok(())
     }
 
@@ -266,6 +341,82 @@ mod tests {
         let s = FileBlobStore::open(&dir).unwrap();
         assert!(s.open_report().is_clean());
         assert_eq!(s.open_report().adopted, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn append_is_visible_through_an_already_open_read_handle() {
+        let dir = temp_dir("append-visible");
+        let mut s = FileBlobStore::open(&dir).unwrap();
+        let b = s.create().unwrap();
+        s.append(b, b"first").unwrap();
+        assert_eq!(s.read_all(b).unwrap(), b"first"); // opens and caches the handle
+        let tail = s.append(b, b" second").unwrap();
+        assert_eq!(s.read(b, tail).unwrap(), b" second");
+        assert_eq!(s.read_all(b).unwrap(), b"first second");
+        assert_eq!(s.handles.borrow().open.len(), 1, "one handle, reused");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(target_os = "linux")]
+    fn open_descriptors() -> usize {
+        std::fs::read_dir("/proc/self/fd").unwrap().count()
+    }
+
+    #[test]
+    fn more_blobs_than_handles_all_read_back_with_bounded_descriptors() {
+        let dir = temp_dir("many");
+        let mut s = FileBlobStore::open(&dir).unwrap();
+        let payload = |i: u64| format!("blob {i} payload").into_bytes();
+        for i in 0..200 {
+            let b = s.create().unwrap();
+            s.append(b, &payload(i)).unwrap();
+        }
+        #[cfg(target_os = "linux")]
+        let before = open_descriptors();
+        // Round-robin over three times the table: every read of the second
+        // pass finds its handle already recycled.
+        for _pass in 0..2 {
+            for i in 0..200 {
+                assert_eq!(s.read_all(BlobId::new(i)).unwrap(), payload(i));
+            }
+        }
+        let handles = s.handles.borrow();
+        assert_eq!(handles.open.len(), MAX_OPEN);
+        let cached = handles.slot_of.iter().filter(|&&slot| slot != NO_SLOT);
+        assert_eq!(cached.count(), MAX_OPEN);
+        for (slot, (id, _)) in handles.open.iter().enumerate() {
+            assert_eq!(handles.slot_of[*id] as usize, slot);
+        }
+        // Other tests of this process open files concurrently, so allow
+        // some slack: what matters is 64-ish, not 200.
+        #[cfg(target_os = "linux")]
+        assert!(
+            open_descriptors() <= before + MAX_OPEN + 32,
+            "{} descriptors open, {before} before the reads",
+            open_descriptors()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn store_moved_to_another_thread_keeps_reading() {
+        let dir = temp_dir("moved");
+        let mut s = FileBlobStore::open(&dir).unwrap();
+        let a = s.create().unwrap();
+        let b = s.create().unwrap();
+        s.append(a, b"here").unwrap();
+        s.append(b, b"there").unwrap();
+        assert_eq!(s.read_all(a).unwrap(), b"here"); // a's handle is open, b's is not
+        let s = std::thread::spawn(move || {
+            assert_eq!(s.read_all(a).unwrap(), b"here");
+            assert_eq!(s.read_all(b).unwrap(), b"there");
+            s.append(b, b"!").unwrap();
+            s
+        })
+        .join()
+        .unwrap();
+        assert_eq!(s.read_all(b).unwrap(), b"there!");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -18,13 +18,16 @@
 //!   the layout of BLOBs is a performance issue and not directly relevant to
 //!   data modeling". The chunked layout exercises span reads that cross
 //!   fragment boundaries.
-//! * [`FileBlobStore`] — file-backed (one file per BLOB) with buffered
-//!   appends, for durability tests and realistic I/O in benchmarks.
+//! * [`FileBlobStore`] — file-backed (one file per BLOB): write-through
+//!   appends and positional reads on kept-open handles, for durability
+//!   tests and realistic I/O in benchmarks.
 //!
 //! Two decorators compose over them: [`FaultyBlobStore`] injects a seeded,
 //! reproducible storm of read faults, and [`TieredBlobStore`] stacks any
 //! stores fastest-first behind per-tier circuit breakers, deadline-aware
 //! hedging, verify-and-repair reads and promotion/demotion residency.
+//! Residency is kept in [`LruSlab`], a byte-weighted strict LRU over a slab
+//! that the server's segment cache (`tbm-serve`) shares.
 //!
 //! Interpretation (`tbm-interp`) addresses BLOB content through
 //! [`ByteSpan`]s — `(offset, length)` placements of media elements.
@@ -35,7 +38,10 @@
 mod error;
 mod fault;
 mod file_store;
+mod lru;
 mod mem_store;
+#[cfg(test)]
+mod residency_prop;
 mod span;
 mod store;
 mod tiered;
@@ -43,6 +49,7 @@ mod tiered;
 pub use error::BlobError;
 pub use fault::{is_transient, FaultPlan, FaultStats, FaultyBlobStore, RetryPolicy, RetryReport};
 pub use file_store::{FileBlobStore, OpenReport, SkipReason};
+pub use lru::{LruSlab, SpanKey};
 pub use mem_store::MemBlobStore;
 pub use span::ByteSpan;
 pub use store::{BlobStore, BlobWriter, ReadCtx};

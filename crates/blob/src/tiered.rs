@@ -38,17 +38,16 @@
 //! ([`TieredBlobStore::with_brownout`]) windows make "the remote goes dark
 //! mid-run" a reproducible experiment rather than an anecdote.
 
-use crate::{BlobError, BlobStore, ByteSpan, FaultPlan, FaultyBlobStore, MemBlobStore, ReadCtx};
+use crate::{
+    BlobError, BlobStore, ByteSpan, FaultPlan, FaultyBlobStore, LruSlab, MemBlobStore, ReadCtx,
+    SpanKey as Key,
+};
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use tbm_core::{crc32, BlobId};
 use tbm_obs::{Category, SpanId, Tracer};
 use tbm_time::{TimeDelta, TimePoint};
-
-/// A `(blob, offset, len)` read address — the unit of residency, repair and
-/// fault bookkeeping.
-type Key = (u64, u64, u64);
 
 /// Observable circuit-breaker state of one tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,54 +206,83 @@ impl TierConfig {
     }
 }
 
-/// LRU residency bookkeeping for a budgeted tier.
+/// LRU residency bookkeeping for a budgeted tier: which spans the tier is
+/// deemed to hold, in the shared [`LruSlab`] with no payload.
 #[derive(Debug, Default)]
-struct Residency {
-    used: u64,
-    tick: u64,
-    map: HashMap<Key, (u64, u64)>, // key -> (recency tick, len)
-    lru: BTreeMap<u64, Key>,       // recency tick -> key
+pub(crate) struct Residency {
+    lru: LruSlab<()>,
 }
 
 impl Residency {
-    fn contains(&self, key: &Key) -> bool {
-        self.map.contains_key(key)
+    /// Bytes currently resident.
+    pub(crate) fn used(&self) -> u64 {
+        self.lru.bytes()
+    }
+
+    pub(crate) fn contains(&self, key: &Key) -> bool {
+        self.lru.contains(key)
     }
 
     /// Refreshes recency; `true` if the span was resident.
-    fn touch(&mut self, key: Key) -> bool {
-        let Some((tick, len)) = self.map.get(&key).copied() else {
-            return false;
-        };
-        self.lru.remove(&tick);
-        self.tick += 1;
-        self.map.insert(key, (self.tick, len));
-        self.lru.insert(self.tick, key);
-        true
+    pub(crate) fn touch(&mut self, key: Key) -> bool {
+        self.lru.touch(&key).is_some()
     }
 
     /// Makes the span resident, demoting LRU spans past the budget.
     /// Returns the number of demotions.
-    fn insert(&mut self, key: Key, len: u64, budget: u64) -> u64 {
+    pub(crate) fn insert(&mut self, key: Key, len: u64, budget: u64) -> u64 {
         if self.touch(key) {
             return 0;
         }
         if len > budget {
             return 0; // would evict the whole tier for one span
         }
-        self.tick += 1;
-        self.map.insert(key, (self.tick, len));
-        self.lru.insert(self.tick, key);
-        self.used += len;
-        let mut demoted = 0;
-        while self.used > budget {
-            let (&tick, &victim) = self.lru.iter().next().expect("used > 0 implies entries");
-            self.lru.remove(&tick);
-            let (_, vlen) = self.map.remove(&victim).expect("lru and map stay in sync");
-            self.used -= vlen;
-            demoted += 1;
-        }
-        demoted
+        self.lru.insert(key, len, ());
+        self.lru.evict_to(budget)
+    }
+}
+
+/// A set of tier indices as a bitmask: what a read keeps its holders, its
+/// breaker-allowed, hedged and checksum-failed tiers in, so the tier walk
+/// allocates nothing. Iteration is ascending — fastest tier first.
+#[derive(Debug, Clone, Copy, Default)]
+struct TierSet(u64);
+
+impl TierSet {
+    /// The most tiers a stack can have (one bit each).
+    const MAX_TIERS: usize = u64::BITS as usize;
+
+    fn insert(&mut self, ti: usize) {
+        self.0 |= 1 << ti;
+    }
+
+    fn contains(self, ti: usize) -> bool {
+        self.0 >> ti & 1 != 0
+    }
+
+    fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    fn first(self) -> Option<usize> {
+        self.iter().next()
+    }
+
+    fn iter(self) -> impl Iterator<Item = usize> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            let ti = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+            bits &= bits - 1;
+            Some(ti)
+        })
+    }
+}
+
+impl FromIterator<usize> for TierSet {
+    fn from_iter<I: IntoIterator<Item = usize>>(tiers: I) -> TierSet {
+        let mut set = TierSet::default();
+        tiers.into_iter().for_each(|ti| set.insert(ti));
+        set
     }
 }
 
@@ -428,6 +456,11 @@ impl TieredBlobStore {
     /// write-through appends keep spans aligned across the stack from then
     /// on.
     pub fn with_tier(mut self, config: TierConfig, store: impl BlobStore + 'static) -> Self {
+        assert!(
+            self.tiers.len() < TierSet::MAX_TIERS,
+            "a tiered store stacks at most {} tiers",
+            TierSet::MAX_TIERS
+        );
         self.tiers.push(Tier {
             breaker: RefCell::new(Breaker::new(config.fault_threshold, config.cooldown_us)),
             config,
@@ -515,7 +548,7 @@ impl TieredBlobStore {
                 hedged_probes: t.hedged_probes.get(),
                 promotions: t.promotions.get(),
                 demotions: t.demotions.get(),
-                resident_bytes: t.resident.borrow().used,
+                resident_bytes: t.resident.borrow().used(),
                 state: t.breaker.borrow().state(),
             })
             .collect()
@@ -660,7 +693,7 @@ impl TieredBlobStore {
         // Fast-path holders: full tiers that contain the blob, budgeted
         // tiers with the span resident or patched. If residency filtered
         // everyone out, fall back to any tier that has the bytes at all.
-        let mut holders: Vec<usize> = (0..self.tiers.len())
+        let mut holders: TierSet = (0..self.tiers.len())
             .filter(|&i| self.tiers[i].holds(&key, blob))
             .collect();
         if holders.is_empty() {
@@ -668,40 +701,38 @@ impl TieredBlobStore {
                 .filter(|&i| self.tiers[i].store.contains(blob))
                 .collect();
         }
-        let Some(&fastest_holder) = holders.first() else {
+        let Some(fastest_holder) = holders.first() else {
             return Err(BlobError::NotFound(blob));
         };
 
-        let allowed: Vec<usize> = holders
+        let allowed: TierSet = holders
             .iter()
-            .copied()
             .filter(|&i| self.tiers[i].breaker.borrow_mut().allows(now))
             .collect();
         let forced = allowed.is_empty();
-        let base_order = if forced { holders.clone() } else { allowed };
-        let primary = base_order[0];
+        let base_order = if forced { holders } else { allowed };
+        let primary = base_order.first().expect("holders is not empty");
 
         // Deadline pressure: if the tier we are about to use cannot make
         // the deadline, probe faster breaker-blocked holders first.
-        let mut hedged: Vec<usize> = Vec::new();
+        let mut hedged = TierSet::default();
         if self.hedging && !forced {
             if let Some(slack) = ctx.deadline_slack_us {
                 if self.tiers[primary].est_latency_us(now) > slack {
                     hedged = holders
                         .iter()
-                        .copied()
-                        .filter(|i| *i < primary && !base_order.contains(i))
+                        .filter(|&i| i < primary && !base_order.contains(i))
                         .collect();
                 }
             }
         }
-        let try_order: Vec<usize> = hedged.iter().chain(base_order.iter()).copied().collect();
+        let try_order = hedged.iter().chain(base_order.iter());
 
-        let mut crc_failed: Vec<usize> = Vec::new();
+        let mut crc_failed = TierSet::default();
         let mut last_err: Option<BlobError> = None;
-        for &ti in &try_order {
+        for ti in try_order {
             let tier = &self.tiers[ti];
-            let is_hedge = hedged.contains(&ti);
+            let is_hedge = hedged.contains(ti);
             if is_hedge {
                 Tier::bump(&tier.hedged_probes);
                 self.event("tier.hedge", vec![("tier", tier.config.name.into())]);
@@ -731,14 +762,14 @@ impl TieredBlobStore {
                     if tier.config.residency_budget.is_some() {
                         tier.resident.borrow_mut().touch(key);
                     }
-                    self.repair_and_promote(ti, key, span, buf, ctx, &crc_failed);
+                    self.repair_and_promote(ti, key, span, buf, ctx, crc_failed);
                     return Ok(());
                 }
                 Err((err, inner_hint, crc)) => {
                     self.charge(est + inner_hint, true);
                     self.record_failure(ti, now, crc);
                     if crc {
-                        crc_failed.push(ti);
+                        crc_failed.insert(ti);
                     }
                     last_err = Some(err);
                 }
@@ -756,12 +787,12 @@ impl TieredBlobStore {
         span: ByteSpan,
         buf: &[u8],
         ctx: &ReadCtx,
-        crc_failed: &[usize],
+        crc_failed: TierSet,
     ) {
         // Repair needs proof the bytes are good: only with a checksum.
         let verified = ctx.expected_crc.is_some();
         if verified && !crc_failed.is_empty() {
-            for &ci in crc_failed {
+            for ci in crc_failed.iter() {
                 let tier = &self.tiers[ci];
                 tier.patches.borrow_mut().insert(key, buf.to_vec());
                 Tier::bump(&tier.repairs);
@@ -783,7 +814,7 @@ impl TieredBlobStore {
                 let Some(budget) = tier.config.residency_budget else {
                     continue;
                 };
-                if crc_failed.contains(&ti) {
+                if crc_failed.contains(ti) {
                     continue; // its own copy is bad; the patch already fixed it
                 }
                 let demoted = tier.resident.borrow_mut().insert(key, span.len, budget);

@@ -526,8 +526,13 @@ pub fn merge_snapshots(parts: impl IntoIterator<Item = TraceSnapshot>) -> TraceS
 
 /// Exact whole microseconds of a simulated time value (floor), the unit of
 /// every exported timestamp.
+///
+/// One widening multiply and one floor division: the denominator is
+/// positive, so Euclidean division is the floor. Panics only when the
+/// result itself does not fit `i64`.
 pub fn micros(seconds: Rational) -> i64 {
-    (seconds * Rational::from(1_000_000)).floor()
+    let us = (seconds.numer() as i128 * 1_000_000).div_euclid(seconds.denom() as i128);
+    i64::try_from(us).expect("microseconds overflow i64")
 }
 
 /// Exact whole microseconds since the origin of a time point.
@@ -609,6 +614,63 @@ mod tests {
         assert_eq!(micros(Rational::new(1, 3)), 333_333);
         assert_eq!(micros_of(t(40)), 40_000);
         assert_eq!(micros(Rational::from(-1)), -1_000_000);
+    }
+
+    mod micros_prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `micros` as it was before the widening multiply: a `Rational`
+        /// product (which reduces, running Euclid) and then the floor.
+        fn reference(s: Rational) -> Option<i64> {
+            s.checked_mul(Rational::from(1_000_000))
+                .ok()
+                .map(Rational::floor)
+        }
+
+        /// Small denominators, media clocks' ones and the 10¹¹–10¹² ones
+        /// the serve path's summed costs carry.
+        fn denominators() -> impl Strategy<Value = i64> {
+            let up_to = |max: i64| 1..=max;
+            prop_oneof![
+                up_to(1_000),
+                Just(1_000_000i64),
+                Just(1_001i64 * 30_000),
+                up_to(1_000_000_000_000),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn micros_matches_the_rational_product(
+                num in -1_000_000_000_000i64..=1_000_000_000_000,
+                den in denominators(),
+            ) {
+                let s = Rational::new(num, den);
+                prop_assert_eq!(Some(micros(s)), reference(s));
+            }
+
+            /// A whole number of microseconds, and the nearest values on
+            /// either side of it that the denominator can express.
+            #[test]
+            fn micros_steps_exactly_at_a_whole_microsecond(
+                us in -1_000_000i64..=1_000_000,
+                den in denominators(),
+                side in -1i64..=1,
+            ) {
+                let s = Rational::new(us, 1_000_000) + Rational::new(side, den);
+                prop_assert_eq!(Some(micros(s)), reference(s));
+                if side == 0 {
+                    prop_assert_eq!(micros(s), us);
+                } else if den > 1_000_000 {
+                    // Less than a microsecond away: below stays in the
+                    // previous microsecond, above stays in this one.
+                    prop_assert_eq!(micros(s), if side < 0 { us - 1 } else { us });
+                }
+            }
+        }
     }
 
     #[test]

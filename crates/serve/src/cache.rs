@@ -14,18 +14,16 @@
 //! to every later session even if the underlying store would corrupt the
 //! re-read.
 //!
-//! Eviction is strict least-recently-used over an exact byte budget,
-//! implemented with a recency sequence number so behaviour is deterministic
-//! and independent of hash-map iteration order.
+//! Eviction is strict least-recently-used over an exact byte budget, kept
+//! in [`tbm_blob::LruSlab`] — the index-linked slab the tiered store's
+//! residency also uses — so behaviour is deterministic and independent of
+//! hash-map iteration order.
 
-use std::collections::{BTreeMap, HashMap};
-use tbm_blob::ByteSpan;
+use tbm_blob::{ByteSpan, LruSlab, SpanKey};
 use tbm_core::BlobId;
 
 /// Cache key: one placement span of one BLOB.
-type Key = (u64, u64, u64);
-
-fn key(blob: BlobId, span: ByteSpan) -> Key {
+fn key(blob: BlobId, span: ByteSpan) -> SpanKey {
     (blob.raw(), span.offset, span.len)
 }
 
@@ -80,12 +78,6 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug)]
-struct CacheEntry {
-    data: Vec<u8>,
-    seq: u64,
-}
-
 /// An LRU, byte-budgeted cache of BLOB placement spans shared by every
 /// session of a [`crate::Server`].
 ///
@@ -94,13 +86,9 @@ struct CacheEntry {
 #[derive(Debug)]
 pub struct SegmentCache {
     budget: u64,
-    bytes: u64,
-    seq: u64,
     generation: u64,
-    entries: HashMap<Key, CacheEntry>,
-    /// Recency order: sequence number → key; the smallest sequence is the
-    /// least recently used segment.
-    lru: BTreeMap<u64, Key>,
+    /// Resident segments in recency order, weighted by their length.
+    lru: LruSlab<Vec<u8>>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -113,11 +101,8 @@ impl SegmentCache {
     pub fn new(budget_bytes: u64) -> SegmentCache {
         SegmentCache {
             budget: budget_bytes,
-            bytes: 0,
-            seq: 0,
             generation: 0,
-            entries: HashMap::new(),
-            lru: BTreeMap::new(),
+            lru: LruSlab::new(),
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -143,7 +128,7 @@ impl SegmentCache {
 
     /// Bytes currently resident.
     pub fn bytes_cached(&self) -> u64 {
-        self.bytes
+        self.lru.bytes()
     }
 
     /// A snapshot of the counters.
@@ -153,14 +138,14 @@ impl SegmentCache {
             misses: self.misses,
             evictions: self.evictions,
             insertions: self.insertions,
-            bytes_cached: self.bytes,
+            bytes_cached: self.lru.bytes(),
             bytes_served: self.bytes_served,
         }
     }
 
     /// Whether `span` of `blob` is resident (no counter or recency effect).
     pub fn contains(&self, blob: BlobId, span: ByteSpan) -> bool {
-        self.entries.contains_key(&key(blob, span))
+        self.lru.contains(&key(blob, span))
     }
 
     /// A counter that advances whenever the *set of resident spans* may
@@ -175,16 +160,11 @@ impl SegmentCache {
     /// Looks up a span, counting a hit (and refreshing its recency) or a
     /// miss. Returns the cached bytes on a hit.
     pub fn get(&mut self, blob: BlobId, span: ByteSpan) -> Option<&[u8]> {
-        let k = key(blob, span);
-        match self.entries.get_mut(&k) {
-            Some(entry) => {
+        match self.lru.touch(&key(blob, span)) {
+            Some(data) => {
                 self.hits += 1;
                 self.bytes_served += span.len;
-                self.lru.remove(&entry.seq);
-                self.seq += 1;
-                entry.seq = self.seq;
-                self.lru.insert(self.seq, k);
-                Some(&entry.data)
+                Some(data)
             }
             None => {
                 self.misses += 1;
@@ -200,36 +180,21 @@ impl SegmentCache {
         if data.len() as u64 > self.budget {
             return;
         }
-        let k = key(blob, span);
-        if let Some(old) = self.entries.remove(&k) {
-            self.lru.remove(&old.seq);
-            self.bytes -= old.data.len() as u64;
-        } else {
-            // A genuinely new span changes the resident set; a refresh of
-            // an already-resident one does not.
+        // A genuinely new span changes the resident set; a refresh of an
+        // already-resident one does not.
+        if self.lru.insert(key(blob, span), data.len() as u64, data) {
             self.generation += 1;
         }
-        self.bytes += data.len() as u64;
-        self.seq += 1;
-        self.lru.insert(self.seq, k);
-        self.entries.insert(
-            k,
-            CacheEntry {
-                data,
-                seq: self.seq,
-            },
-        );
         self.insertions += 1;
-        while self.bytes > self.budget {
-            let (_, victim) = self
-                .lru
-                .pop_first()
-                .expect("over budget implies a resident entry");
-            let evicted = self.entries.remove(&victim).expect("lru and entries agree");
-            self.bytes -= evicted.data.len() as u64;
-            self.evictions += 1;
-            self.generation += 1;
-        }
+        self.evict_to_budget();
+    }
+
+    /// Evicts until the budget holds; each eviction changes the resident
+    /// set.
+    fn evict_to_budget(&mut self) {
+        let evicted = self.lru.evict_to(self.budget);
+        self.evictions += evicted;
+        self.generation += evicted;
     }
 
     /// Replaces the byte budget mid-run, returning the previous one. A
@@ -240,27 +205,23 @@ impl SegmentCache {
     pub fn set_budget(&mut self, budget_bytes: u64) -> u64 {
         let prev = self.budget;
         self.budget = budget_bytes;
-        while self.bytes > self.budget {
-            let (_, victim) = self
-                .lru
-                .pop_first()
-                .expect("over budget implies a resident entry");
-            let evicted = self.entries.remove(&victim).expect("lru and entries agree");
-            self.bytes -= evicted.data.len() as u64;
-            self.evictions += 1;
-            self.generation += 1;
-        }
+        self.evict_to_budget();
         prev
+    }
+
+    /// The resident spans, least recently used first: the order evictions
+    /// take them in. For the differential test against the naive LRU.
+    #[cfg(test)]
+    pub(crate) fn keys_lru_first(&self) -> Vec<SpanKey> {
+        self.lru.keys().collect()
     }
 
     /// Drops every resident segment (counters are retained).
     pub fn clear(&mut self) {
-        if !self.entries.is_empty() {
+        if !self.lru.is_empty() {
             self.generation += 1;
         }
-        self.entries.clear();
         self.lru.clear();
-        self.bytes = 0;
     }
 }
 

@@ -1470,10 +1470,7 @@ impl<S: BlobStore> Fleet<S> {
     /// never tell the operator two different stories.
     fn node_load_pct(&self, node: usize) -> usize {
         let hosted = self.placement.hosted(node);
-        let committed: u64 = hosted
-            .iter()
-            .map(|&s| self.shards[s].stats().committed_bps)
-            .sum();
+        let committed: u64 = hosted.iter().map(|&s| self.shards[s].committed_bps()).sum();
         let capacity: u64 = hosted
             .iter()
             .map(|&s| self.shards[s].capacity().storage_bandwidth)
@@ -1525,7 +1522,7 @@ impl<S: BlobStore> Fleet<S> {
             .placement
             .hosted(hot)
             .into_iter()
-            .max_by_key(|&s| (self.shards[s].stats().committed_bps, usize::MAX - s))?;
+            .max_by_key(|&s| (self.shards[s].committed_bps(), usize::MAX - s))?;
         self.tracer.event(
             "fleet.rebalance",
             Category::Fleet,

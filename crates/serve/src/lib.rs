@@ -64,6 +64,8 @@
 #![forbid(unsafe_code)]
 
 mod cache;
+#[cfg(test)]
+mod cache_prop;
 mod capacity;
 mod error;
 mod fleet;
@@ -242,6 +244,8 @@ mod tests {
         assert_eq!(stats.admitted_degraded, 1);
         assert_eq!(stats.rejected, 1);
         assert!(stats.committed_bps <= full + base + 1);
+        assert!(stats.committed_bps > 0);
+        assert_eq!(server.committed_bps(), stats.committed_bps);
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::{
     AdmissionPolicy, AdmitDecision, Capacity, RejectReason, Request, Response, SegmentCache,
     ServeError, ServerStats, Session, SessionState, SessionStats,
 };
+use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::io;
@@ -602,6 +603,12 @@ impl<S: BlobStore> Server<S> {
         })
     }
 
+    /// Committed storage demand of the admitted sessions, in whole bytes
+    /// per second — [`ServerStats::committed_bps`] without the snapshot.
+    pub fn committed_bps(&self) -> u64 {
+        self.committed.floor().max(0) as u64
+    }
+
     /// A point-in-time statistics snapshot, materialised from the metrics
     /// registry.
     pub fn stats(&self) -> ServerStats {
@@ -645,7 +652,7 @@ impl<S: BlobStore> Server<S> {
             upgraded_sessions: m.counter(M_UPGRADED) as usize,
             cache: self.cache.stats(),
             storage_bytes_read: m.counter(M_BYTES_READ),
-            committed_bps: self.committed.floor().max(0) as u64,
+            committed_bps: self.committed_bps(),
             lateness: m.histogram_or_empty(H_LATENESS, &LATENCY_BUCKETS_US),
             service: m.histogram_or_empty(H_SERVICE, &LATENCY_BUCKETS_US),
         }
@@ -1440,6 +1447,11 @@ impl<S: BlobStore> Server<S> {
         let mut backoff_us = 0u64;
         let mut attempts_max = 1u32;
         let mut intact_layers = 0usize;
+        // Slack before this element is late — the store's hedging budget,
+        // the same for every layer of the element, so worked out on its
+        // first miss only. None until the presentation clock is
+        // established.
+        let slack_us = OnceCell::new();
         for (li, &(layer_span, expected_crc)) in layers.iter().enumerate() {
             let probe = || vec![("layer", li.into()), ("bytes", layer_span.len.into())];
             if self.cache.get(blob, layer_span).is_some() {
@@ -1465,9 +1477,9 @@ impl<S: BlobStore> Server<S> {
                 Some(job.session),
                 probe,
             );
-            // Slack before this element is late — the store's hedging
-            // budget. None until the presentation clock is established.
-            let slack_us = due.map(|d| micros((d - start).max(TimeDelta::ZERO).seconds()) as u64);
+            let slack_us: Option<u64> = *slack_us.get_or_init(|| {
+                due.map(|d| micros((d - start).max(TimeDelta::ZERO).seconds()) as u64)
+            });
             let (result, report) = self.retry.run(|attempt| {
                 let mut buf = vec![0u8; layer_span.len as usize];
                 let ctx = ReadCtx {

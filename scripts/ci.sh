@@ -104,13 +104,19 @@ TBM_BENCH_OUT=target/bench_serve_ci.json \
 echo "==> benchmark smoke"
 # `perf`, the repository's benchmark, is a package of its own (see its
 # README), so the workspace build above never compiles it. Build it from
-# its own manifest and run the two serve-loop workloads briefly. Only the
-# exit status is read: a run fails when one of its output checks does (the
-# fault partition, every due element served, digests identical across
-# repetitions and at 1 vs 2 workers). No timing is gated here.
+# its own manifest, run its own unit tests (TimedStore transparency, one
+# store read per layer on first touch, the cold storm's hit share: they
+# pin behaviour of the crates the benchmark measures), then run the two
+# serve-loop workloads and `storm_cold` -- the only one on `FileBlobStore`
+# and tiers -- briefly. Only the exit status is read: a run fails when one
+# of its output checks does (the fault partition, every due element
+# served, digests identical across repetitions and at 1 vs 2 workers). No
+# timing is gated here.
 perf_manifest=crates/bench/src/bin/perf/Cargo.toml
 cargo build --release --offline -q --manifest-path "$perf_manifest"
-for workload in storm_hot session_churn; do
+echo "--> perf unit tests"
+cargo test --release --offline -q --manifest-path "$perf_manifest"
+for workload in storm_hot session_churn storm_cold; do
     echo "--> perf run $workload"
     cargo run --release --offline -q --manifest-path "$perf_manifest" -- \
         run "$workload" --seed 1 --seconds 3 > /dev/null
