@@ -400,7 +400,7 @@ pub struct RetryPolicy {
 impl RetryPolicy {
     /// A policy with `max_retries` retries, 200µs base backoff, a 50ms
     /// total budget and no jitter.
-    pub fn new(max_retries: u32) -> RetryPolicy {
+    pub const fn new(max_retries: u32) -> RetryPolicy {
         RetryPolicy {
             max_retries,
             base_backoff_us: 200,

@@ -49,6 +49,13 @@ impl SpanId {
     }
 }
 
+impl Default for SpanId {
+    /// [`SpanId::NONE`].
+    fn default() -> SpanId {
+        SpanId::NONE
+    }
+}
+
 /// What subsystem a record belongs to — the `cat` field of the Chrome
 /// trace-event export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,9 +89,6 @@ pub enum Category {
     /// carrying rule/action attrs at apply and the verification verdict at
     /// close.
     Remediation,
-    /// Scheduler records: same-deadline batch spans and work-steal events
-    /// from the multi-core event loop.
-    Sched,
 }
 
 impl Category {
@@ -103,7 +107,6 @@ impl Category {
             Category::Fleet => "fleet",
             Category::Health => "health",
             Category::Remediation => "remediation",
-            Category::Sched => "sched",
         }
     }
 }

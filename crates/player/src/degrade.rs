@@ -22,6 +22,13 @@
 //! Every element's fate is recorded in an [`ElementFate`] and aggregated
 //! into [`PlaybackStats`]' `recovered`/`degraded`/`dropped` counts, so a
 //! fault storm is fully accounted for, deterministically.
+//!
+//! Steps 1–3 exist once, here: [`fetch_layer`] (retried read + checksum),
+//! [`ElementFate::decide`] (the ladder) and [`ElementFate::label`] are what
+//! `tbm-serve`'s event loop calls per element too. What the two callers
+//! still do differently is charge a retry: the player re-reads
+//! `(attempts − 1) ×` the element's fetched bytes, the server each layer's
+//! own bytes `×` that layer's extra attempts (DESIGN §6).
 
 use crate::{schedule_from_interp, ElementJob, PlaybackSim, PlaybackStats};
 use tbm_blob::{BlobStore, ByteSpan, ReadCtx, RetryPolicy};
@@ -45,9 +52,10 @@ pub enum DegradationPolicy {
 }
 
 /// How one element fared during resilient playback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ElementFate {
     /// Fetched and verified on the first attempt.
+    #[default]
     Intact,
     /// Fetched intact after `attempts` tries (> 1).
     Recovered {
@@ -63,6 +71,106 @@ pub enum ElementFate {
     Repeated,
     /// Nothing was presented.
     Dropped,
+}
+
+impl ElementFate {
+    /// The ladder: what becomes of an element of `layers` placement layers
+    /// whose first `intact_layers` came back verified after at most
+    /// `attempts_max` read attempts per layer, given whether an earlier
+    /// element of the stream was presented fresh (`have_good`). This is
+    /// the one place the decision is made — [`ResilientPlayer`] and
+    /// `tbm-serve`'s `Server` both call it.
+    pub fn decide(
+        policy: DegradationPolicy,
+        intact_layers: usize,
+        layers: usize,
+        attempts_max: u32,
+        have_good: bool,
+    ) -> ElementFate {
+        if intact_layers == layers {
+            return if attempts_max > 1 {
+                ElementFate::Recovered {
+                    attempts: attempts_max,
+                }
+            } else {
+                ElementFate::Intact
+            };
+        }
+        match policy {
+            DegradationPolicy::DropLayers if intact_layers > 0 => ElementFate::BaseLayers {
+                layers: intact_layers,
+            },
+            DegradationPolicy::DropLayers | DegradationPolicy::RepeatLast if have_good => {
+                ElementFate::Repeated
+            }
+            _ => ElementFate::Dropped,
+        }
+    }
+
+    /// The fate's name in traces (`fate` attributes, `degrade` events).
+    pub fn label(&self) -> &'static str {
+        match self {
+            ElementFate::Intact => "intact",
+            ElementFate::Recovered { .. } => "recovered",
+            ElementFate::BaseLayers { .. } => "base-layers",
+            ElementFate::Repeated => "repeated",
+            ElementFate::Dropped => "dropped",
+        }
+    }
+
+    /// Whether freshly verified data was presented — what makes the
+    /// element repeatable by a later [`ElementFate::Repeated`].
+    pub fn presents_fresh(&self) -> bool {
+        matches!(
+            self,
+            ElementFate::Intact | ElementFate::Recovered { .. } | ElementFate::BaseLayers { .. }
+        )
+    }
+}
+
+/// One placement layer read through a [`RetryPolicy`] and verified — what
+/// [`fetch_layer`] returns.
+#[derive(Debug)]
+pub struct LayerFetch {
+    /// The verified bytes; `None` when the read failed for good or the
+    /// bytes did not match the checksum.
+    pub bytes: Option<Vec<u8>>,
+    /// Read attempts made, including the last one.
+    pub attempts: u32,
+    /// Backoff spent between attempts, in microseconds.
+    pub backoff_us: u64,
+}
+
+/// Reads one placement layer, retrying transient errors under `retry`, and
+/// verifies it against `checksum` (no checksum recorded: the read is
+/// trusted). `slack_us` is the store's hedging budget — the time left
+/// before the element is late, if the caller knows it.
+pub fn fetch_layer<S: BlobStore + ?Sized>(
+    store: &S,
+    retry: &RetryPolicy,
+    blob: BlobId,
+    span: ByteSpan,
+    checksum: Option<u32>,
+    slack_us: Option<u64>,
+) -> LayerFetch {
+    let (result, report) = retry.run(|attempt| {
+        let mut buf = vec![0u8; span.len as usize];
+        let ctx = ReadCtx {
+            attempt,
+            deadline_slack_us: slack_us,
+            expected_crc: checksum,
+        };
+        store
+            .read_into_ctx(blob, span, &mut buf, &ctx)
+            .map(|()| buf)
+    });
+    LayerFetch {
+        bytes: result
+            .ok()
+            .filter(|bytes| checksum.is_none_or(|sum| crc32(bytes) == sum)),
+        attempts: report.attempts,
+        backoff_us: report.backoff_spent_us,
+    }
 }
 
 /// Outcome of [`ResilientPlayer::play`].
@@ -114,51 +222,10 @@ impl ResilientPlayer {
         }
     }
 
-    /// Builder: sets the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> ResilientPlayer {
-        self.retry = retry;
-        self
-    }
-
     /// Builder: sets the degradation policy.
     pub fn with_policy(mut self, policy: DegradationPolicy) -> ResilientPlayer {
         self.policy = policy;
         self
-    }
-
-    /// Reads and verifies one placement layer, retrying transient errors.
-    /// Returns the attempts made and backoff spent, and whether the layer
-    /// came back intact.
-    fn fetch_layer<S: BlobStore + ?Sized>(
-        &self,
-        store: &S,
-        blob: BlobId,
-        span: ByteSpan,
-        checksum: Option<u32>,
-    ) -> LayerFetch {
-        let (result, report) = self.retry.run(|attempt| {
-            let mut buf = vec![0u8; span.len as usize];
-            let ctx = ReadCtx {
-                attempt,
-                deadline_slack_us: None,
-                expected_crc: checksum,
-            };
-            store
-                .read_into_ctx(blob, span, &mut buf, &ctx)
-                .map(|()| buf)
-        });
-        let intact = match result {
-            Ok(bytes) => match checksum {
-                Some(sum) => crc32(&bytes) == sum,
-                None => true, // no checksum recorded: trust the read
-            },
-            Err(_) => false,
-        };
-        LayerFetch {
-            intact,
-            attempts: report.attempts,
-            backoff_us: report.backoff_spent_us,
-        }
     }
 
     /// Plays `stream` out of `blob` in `store`, returning timing stats and
@@ -210,56 +277,26 @@ impl ResilientPlayer {
             let mut attempts_max = 1u32;
             let mut intact_layers = 0usize;
             for (li, &span) in layers.iter().enumerate() {
-                let f = self.fetch_layer(store, blob, span, sums.get(li).copied());
+                let f = fetch_layer(store, &self.retry, blob, span, sums.get(li).copied(), None);
                 bytes_fetched += span.len;
                 backoff_us += f.backoff_us;
                 attempts_max = attempts_max.max(f.attempts);
-                if !f.intact {
+                if f.bytes.is_none() {
                     faults_detected += 1;
                     break;
                 }
                 intact_layers += 1;
             }
 
-            let fate = if intact_layers == layers.len() {
-                if attempts_max > 1 {
-                    ElementFate::Recovered {
-                        attempts: attempts_max,
-                    }
-                } else {
-                    ElementFate::Intact
-                }
-            } else {
-                match self.policy {
-                    DegradationPolicy::DropLayers if intact_layers > 0 => ElementFate::BaseLayers {
-                        layers: intact_layers,
-                    },
-                    DegradationPolicy::DropLayers | DegradationPolicy::RepeatLast => {
-                        if have_good {
-                            ElementFate::Repeated
-                        } else {
-                            ElementFate::Dropped
-                        }
-                    }
-                    DegradationPolicy::Skip => ElementFate::Dropped,
-                }
-            };
-            if matches!(
-                fate,
-                ElementFate::Intact
-                    | ElementFate::Recovered { .. }
-                    | ElementFate::BaseLayers { .. }
-            ) {
-                have_good = true;
-            }
+            let fate = ElementFate::decide(
+                self.policy,
+                intact_layers,
+                layers.len(),
+                attempts_max,
+                have_good,
+            );
+            have_good |= fate.presents_fresh();
             if fate != ElementFate::Intact {
-                let label = match fate {
-                    ElementFate::Intact => unreachable!(),
-                    ElementFate::Recovered { .. } => "recovered",
-                    ElementFate::BaseLayers { .. } => "base-layers",
-                    ElementFate::Repeated => "repeated",
-                    ElementFate::Dropped => "dropped",
-                };
                 tracer.event(
                     "degrade",
                     Category::Present,
@@ -268,7 +305,7 @@ impl ResilientPlayer {
                     None,
                     vec![
                         ("index", job.index.into()),
-                        ("fate", label.into()),
+                        ("fate", fate.label().into()),
                         ("attempts", attempts_max.into()),
                         ("backoff_us", backoff_us.into()),
                         ("intact_layers", intact_layers.into()),
@@ -310,12 +347,6 @@ impl ResilientPlayer {
     }
 }
 
-struct LayerFetch {
-    intact: bool,
-    attempts: u32,
-    backoff_us: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,6 +381,67 @@ mod tests {
 
     fn player() -> ResilientPlayer {
         ResilientPlayer::new(PlaybackSim::new(CostModel::bandwidth_only(10_000_000)))
+    }
+
+    #[test]
+    fn decide_matches_the_policy_docs_everywhere() {
+        use DegradationPolicy::{DropLayers, RepeatLast, Skip};
+        for policy in [RepeatLast, Skip, DropLayers] {
+            for layers in 1..=3usize {
+                for intact in 0..=layers {
+                    for attempts in [1u32, 3] {
+                        for have_good in [false, true] {
+                            // RepeatLast: "Present the last good element
+                            // again ... Falls back to dropping when no good
+                            // element has been presented yet."
+                            let repeat_last = if have_good {
+                                ElementFate::Repeated
+                            } else {
+                                ElementFate::Dropped
+                            };
+                            let want = match (policy, intact) {
+                                // Every layer verified: the policy is never
+                                // consulted; retries only rename the fate.
+                                (_, n) if n == layers && attempts == 1 => ElementFate::Intact,
+                                (_, n) if n == layers => ElementFate::Recovered { attempts },
+                                // Skip: "Present nothing for this element."
+                                (Skip, _) => ElementFate::Dropped,
+                                (RepeatLast, _) => repeat_last,
+                                // DropLayers: "fall back to the verified
+                                // base layers ... Unlayered elements (or a
+                                // corrupt base layer) fall back to
+                                // RepeatLast."
+                                (DropLayers, 0) => repeat_last,
+                                (DropLayers, n) => ElementFate::BaseLayers { layers: n },
+                            };
+                            let got =
+                                ElementFate::decide(policy, intact, layers, attempts, have_good);
+                            assert_eq!(
+                                got, want,
+                                "{policy:?}, {intact}/{layers} intact, {attempts} attempts, \
+                                 have_good {have_good}"
+                            );
+                            // Only a fate that presents verified bytes of
+                            // *this* element makes it repeatable later.
+                            assert_eq!(
+                                got.presents_fresh(),
+                                intact == layers || matches!(got, ElementFate::BaseLayers { .. })
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        let labels = [
+            (ElementFate::Intact, "intact"),
+            (ElementFate::Recovered { attempts: 2 }, "recovered"),
+            (ElementFate::BaseLayers { layers: 1 }, "base-layers"),
+            (ElementFate::Repeated, "repeated"),
+            (ElementFate::Dropped, "dropped"),
+        ];
+        for (fate, label) in labels {
+            assert_eq!(fate.label(), label);
+        }
     }
 
     #[test]

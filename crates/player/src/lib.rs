@@ -31,7 +31,9 @@ mod sync;
 
 pub use activity::{Activity, Pipeline};
 pub use cost::CostModel;
-pub use degrade::{DegradationPolicy, ElementFate, ResilientPlayer, ResilientReport};
+pub use degrade::{
+    fetch_layer, DegradationPolicy, ElementFate, LayerFetch, ResilientPlayer, ResilientReport,
+};
 pub use schedule::{
     demanded_rate, schedule_at_rate, schedule_from_interp, schedule_reverse, schedule_uniform,
     total_bytes, ElementJob,

@@ -48,8 +48,8 @@
 //! stats, metrics and traces.
 
 use crate::{
-    shard_of, Capacity, Request, Response, ServeError, Server, ServerStats, Session, ShardedDb,
-    ShardedStats, SHARD_SESSION_STRIDE,
+    shard_of, Capacity, Request, Response, ServeError, Server, Session, ShardedDb, ShardedServer,
+    ShardedStats,
 };
 use std::collections::BTreeSet;
 use std::fmt;
@@ -60,7 +60,6 @@ use tbm_obs::{
     attribute, chrome_trace_to_writer, AttributionReport, Category, MetricsRegistry, SpanId,
     TraceSnapshot, Tracer,
 };
-use tbm_player::DegradationPolicy;
 use tbm_time::{TimeDelta, TimePoint};
 
 // Fleet-level registry names. `fleet.*` counters ride next to the serve
@@ -78,12 +77,21 @@ const M_SHED: &str = "fleet.elements.shed";
 const G_NODES: &str = "fleet.nodes";
 const G_NODES_UP: &str = "fleet.nodes.up";
 const G_FLEET_SKEW: &str = "fleet.skew";
-const G_SHARD_SKEW: &str = "shard.skew";
 
 /// Assumed catalog-metadata bytes per object in a migration handoff.
 const METADATA_BYTES_PER_OBJECT: u64 = 512;
 /// Request-plane message size charged against a link per delivery attempt.
 const REQUEST_BYTES: u64 = 256;
+/// Lost deliveries are retried on the storage [`RetryPolicy`] shape: four
+/// attempts in all, doubling backoff from 200 µs, a 50 ms budget, no
+/// jitter.
+const TRANSPORT_RETRY: RetryPolicy = RetryPolicy::new(3);
+/// A node's breaker trips after this many consecutive lost deliveries ...
+const BREAKER_THRESHOLD: u32 = 2;
+/// ... and lets a half-open probe through after this cooldown.
+const BREAKER_COOLDOWN_MS: i64 = 200;
+/// Crash-detection delay charged on top of a failover handoff.
+const DETECTION_US: u64 = 50_000;
 
 /// The same finalizer `tbm-blob`'s fault injector uses, copied rather than
 /// shared: link jitter must not perturb (or be perturbed by) storage fault
@@ -131,12 +139,6 @@ impl Link {
             seed: 0,
             draws: 0,
         }
-    }
-
-    /// Builder: sets the one-way propagation delay.
-    pub fn with_propagation_us(mut self, us: u64) -> Link {
-        self.propagation_us = us;
-        self
     }
 
     /// Builder: bounds the seeded per-delivery jitter.
@@ -624,11 +626,13 @@ struct NodeEvent {
 /// migration. See the module-level docs for the model.
 #[derive(Debug)]
 pub struct Fleet<S: BlobStore = MemBlobStore> {
-    shards: Vec<Server<S>>,
+    /// The shard set: construction, id → shard routing, per-shard
+    /// accessors and the `shard{i}.`/global rollups all live there. The
+    /// fleet drives it at one worker and adds what moves — placement.
+    shards: ShardedServer<S>,
     nodes: Vec<Node>,
     placement: PlacementService,
     node_capacity: Capacity,
-    transport_retry: RetryPolicy,
     rebalance_skew: Option<i64>,
     rebalance_cooldown: TimeDelta,
     last_rebalance: Option<TimePoint>,
@@ -637,8 +641,6 @@ pub struct Fleet<S: BlobStore = MemBlobStore> {
     /// plane's `DerateAdmission` lever.
     admission_derate: u8,
     migration: bool,
-    /// Crash-detection delay charged on top of a failover handoff, µs.
-    detection_us: u64,
     clock: TimePoint,
     metrics: MetricsRegistry,
     tracer: Tracer,
@@ -660,22 +662,17 @@ impl<S: BlobStore> Fleet<S> {
     pub fn new(db: ShardedDb<S>, nodes: usize, node_capacity: Capacity) -> Fleet<S> {
         assert!(nodes > 0, "a fleet needs at least one node");
         let seed = db.seed();
-        let shards: Vec<Server<S>> = db
-            .into_shards()
-            .into_iter()
-            .enumerate()
-            .map(|(i, shard_db)| {
-                Server::new(shard_db, node_capacity)
-                    .with_session_base(i as u64 * SHARD_SESSION_STRIDE)
-            })
-            .collect();
-        let placement = PlacementService::new(shards.len(), nodes, seed);
+        let shards = ShardedServer::new(db, node_capacity);
+        let placement = PlacementService::new(shards.shard_count(), nodes, seed);
         let nodes: Vec<Node> = (0..nodes)
             .map(|i| Node {
                 name: format!("node{i}"),
                 link: Link::new(125_000_000).with_seed(splitmix64(seed ^ (i as u64 + 1))),
                 plan: NodeFaultPlan::default(),
-                breaker: NodeBreaker::new(2, TimeDelta::from_millis(200)),
+                breaker: NodeBreaker::new(
+                    BREAKER_THRESHOLD,
+                    TimeDelta::from_millis(BREAKER_COOLDOWN_MS),
+                ),
                 up: true,
                 health: 100,
                 crashes: 0,
@@ -688,13 +685,11 @@ impl<S: BlobStore> Fleet<S> {
             nodes,
             placement,
             node_capacity,
-            transport_retry: RetryPolicy::new(3),
             rebalance_skew: Some(150),
             rebalance_cooldown: TimeDelta::from_millis(500),
             last_rebalance: None,
             admission_derate: 100,
             migration: true,
-            detection_us: 50_000,
             clock: TimePoint::ZERO,
             metrics: MetricsRegistry::new(),
             tracer: Tracer::disabled(),
@@ -709,43 +704,14 @@ impl<S: BlobStore> Fleet<S> {
 
     /// Builder: gives every shard its own segment cache of `budget_bytes`.
     pub fn with_cache_budget(mut self, budget_bytes: u64) -> Fleet<S> {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_cache_budget(budget_bytes))
-            .collect();
-        self
-    }
-
-    /// Builder: sets every shard's per-read *storage* retry policy
-    /// (distinct from the transport retry policy).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Fleet<S> {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_retry(retry))
-            .collect();
-        self
-    }
-
-    /// Builder: sets every shard's degradation policy.
-    pub fn with_degradation(mut self, policy: DegradationPolicy) -> Fleet<S> {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_degradation(policy))
-            .collect();
+        self.shards = self.shards.with_cache_budget(budget_bytes);
         self
     }
 
     /// Builder: attaches one tracer to every shard and to the fleet's own
     /// node/migration events (clones share the ring — one timeline).
     pub fn with_tracer(mut self, tracer: Tracer) -> Fleet<S> {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_tracer(tracer.clone()))
-            .collect();
+        self.shards = self.shards.with_tracer(tracer.clone());
         self.tracer = tracer;
         self
     }
@@ -790,24 +756,6 @@ impl<S: BlobStore> Fleet<S> {
         self
     }
 
-    /// Builder: sets the transport retry policy lost deliveries are
-    /// retried under (the storage [`RetryPolicy`] shape: bounded attempts,
-    /// doubling backoff, a backoff budget, optional seeded jitter).
-    pub fn with_transport_retry(mut self, retry: RetryPolicy) -> Fleet<S> {
-        self.transport_retry = retry;
-        self
-    }
-
-    /// Builder: tunes every node's circuit breaker — trip after
-    /// `threshold` consecutive losses, half-open probe after
-    /// `cooldown_us`.
-    pub fn with_node_breaker(mut self, threshold: u32, cooldown_us: u64) -> Fleet<S> {
-        for n in &mut self.nodes {
-            n.breaker = NodeBreaker::new(threshold, TimeDelta::from_micros(cooldown_us as i64));
-        }
-        self
-    }
-
     /// Builder: sets the rebalance trigger — migrate the hottest shard
     /// off the hottest node when node skew exceeds `percent` (`None`
     /// disables skew rebalancing).
@@ -821,13 +769,6 @@ impl<S: BlobStore> Fleet<S> {
     /// ([`Server::shed_pending`]) — the no-migration baseline.
     pub fn with_migration(mut self, migrate: bool) -> Fleet<S> {
         self.migration = migrate;
-        self
-    }
-
-    /// Builder: sets the crash-detection delay charged on top of a
-    /// failover migration's handoff.
-    pub fn with_detection_us(mut self, us: u64) -> Fleet<S> {
-        self.detection_us = us;
         self
     }
 
@@ -847,7 +788,7 @@ impl<S: BlobStore> Fleet<S> {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shards.shard_count()
     }
 
     /// A node.
@@ -862,7 +803,7 @@ impl<S: BlobStore> Fleet<S> {
 
     /// A shard's server (sessions, stats, metrics).
     pub fn shard(&self, i: usize) -> &Server<S> {
-        &self.shards[i]
+        self.shards.shard(i)
     }
 
     /// The placement table.
@@ -877,19 +818,18 @@ impl<S: BlobStore> Fleet<S> {
 
     /// Every shard's sessions, in shard order then admission order.
     pub fn sessions(&self) -> impl Iterator<Item = &Session> {
-        self.shards.iter().flat_map(|s| s.sessions().iter())
+        self.shards.sessions()
     }
 
     /// A session by (globally unique) id.
     pub fn session(&self, id: SessionId) -> Option<&Session> {
-        let shard = (id.raw() / SHARD_SESSION_STRIDE) as usize;
-        self.shards.get(shard).and_then(|s| s.session(id))
+        self.shards.session(id)
     }
 
     /// [`Server::check_invariants`] on every shard, in shard order; `Err`
     /// names the first shard that fails.
     pub fn check_invariants(&self) -> Result<(), String> {
-        crate::shard::check_shards(&self.shards)
+        self.shards.check_invariants()
     }
 
     /// Shard migrations performed so far.
@@ -952,27 +892,13 @@ impl<S: BlobStore> Fleet<S> {
         if self.migration {
             self.maybe_rebalance(at);
         }
-        let shard = match &request {
-            Request::Open { object } => self.placement.shard_of_object(object),
-            Request::Play { session }
-            | Request::Pause { session }
-            | Request::Seek { session, .. }
-            | Request::SetRate { session, .. }
-            | Request::Close { session } => {
-                let shard = (session.raw() / SHARD_SESSION_STRIDE) as usize;
-                if shard >= self.shards.len() {
-                    return Err(ServeError::UnknownSession { session: *session }.into());
-                }
-                shard
-            }
-        };
+        let shard = self.shards.route(&request)?;
 
         // Transport: deliver over the hosting node's link, retrying on the
         // fleet's RetryPolicy schedule. Placement is re-read per attempt,
         // so a breaker-tripped failover mid-loop reroutes the retry.
-        let policy = self.transport_retry;
         let mut attempt = 0u32;
-        let mut backoff_us = policy.base_backoff_us;
+        let mut backoff_us = TRANSPORT_RETRY.base_backoff_us;
         let mut spent_us = 0u64;
         loop {
             let send_at = at + TimeDelta::from_micros(spent_us as i64);
@@ -996,10 +922,13 @@ impl<S: BlobStore> Fleet<S> {
                     // handoff in progress queues it until the move
                     // completes — which is how a Play issued before a
                     // migration completes after it.
+                    // The owning shard alone runs to `arrive`; the rest of
+                    // the set stays at `at`.
+                    let server = &mut self.shards.shards_mut()[shard];
                     let arrive = (send_at + delay)
-                        .max(self.shards[shard].clock())
-                        .max(self.shards[shard].stall_until());
-                    let response = self.shards[shard].request(arrive, request)?;
+                        .max(server.clock())
+                        .max(server.stall_until());
+                    let response = server.request(arrive, request)?;
                     self.clock = self.clock.max(at);
                     return Ok(response);
                 }
@@ -1027,8 +956,8 @@ impl<S: BlobStore> Fleet<S> {
                             self.evacuate(node, send_at, "breaker");
                         }
                     }
-                    if attempt >= policy.max_retries
-                        || spent_us.saturating_add(backoff_us) > policy.backoff_budget_us
+                    if attempt >= TRANSPORT_RETRY.max_retries
+                        || spent_us.saturating_add(backoff_us) > TRANSPORT_RETRY.backoff_budget_us
                     {
                         self.clock = self.clock.max(at);
                         return Err(FleetError::Unreachable {
@@ -1037,7 +966,7 @@ impl<S: BlobStore> Fleet<S> {
                             attempts: attempt + 1,
                         });
                     }
-                    spent_us += jittered_backoff(&policy, backoff_us, attempt);
+                    spent_us += backoff_us;
                     backoff_us = backoff_us.saturating_mul(2).max(1);
                     attempt += 1;
                 }
@@ -1083,20 +1012,17 @@ impl<S: BlobStore> Fleet<S> {
         if let Some(last) = self.events.last().map(|e| e.at) {
             self.advance(self.clock.max(last));
         }
-        let per_shard: Vec<ServerStats> = self.shards.iter_mut().map(|s| s.finish()).collect();
-        for s in &self.shards {
-            self.clock = self.clock.max(s.clock());
-        }
-        self.stats_from(per_shard)
+        let shards = self.shards.finish();
+        self.clock = self.clock.max(self.shards.clock());
+        self.stats_from(shards)
     }
 
     /// A point-in-time fleet snapshot.
     pub fn stats(&self) -> FleetStats {
-        self.stats_from(self.shards.iter().map(|s| s.stats()).collect())
+        self.stats_from(self.shards.stats())
     }
 
-    fn stats_from(&self, per_shard: Vec<ServerStats>) -> FleetStats {
-        let shards = ShardedStats::from_shards(per_shard);
+    fn stats_from(&self, shards: ShardedStats) -> FleetStats {
         let per_node = self
             .nodes
             .iter()
@@ -1136,27 +1062,21 @@ impl<S: BlobStore> Fleet<S> {
     /// the `fleet.nodes`, `fleet.nodes.up`, `fleet.skew` and `shard.skew`
     /// gauges.
     pub fn metrics(&self) -> MetricsRegistry {
-        let mut rollup = MetricsRegistry::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            rollup.merge_prefixed(shard.metrics(), &format!("shard{i}."));
-            rollup.merge_prefixed(shard.metrics(), "");
-        }
+        let mut rollup = self.shards.metrics();
         for i in 0..self.nodes.len() {
             let mut node_view = MetricsRegistry::new();
             for s in self.placement.hosted(i) {
-                node_view.merge_prefixed(self.shards[s].metrics(), "");
+                node_view.merge_prefixed(self.shards.shard(s).metrics(), "");
             }
             rollup.merge_prefixed(&node_view, &format!("node{i}."));
         }
         rollup.merge_prefixed(&self.metrics, "");
-        let stats = self.stats();
         rollup.set_gauge(G_NODES, self.nodes.len() as i64);
         rollup.set_gauge(
             G_NODES_UP,
             self.nodes.iter().filter(|n| n.up).count() as i64,
         );
-        rollup.set_gauge(G_FLEET_SKEW, stats.skew_percent());
-        rollup.set_gauge(G_SHARD_SKEW, stats.shards.skew_percent());
+        rollup.set_gauge(G_FLEET_SKEW, self.stats().skew_percent());
         rollup
     }
 
@@ -1171,15 +1091,11 @@ impl<S: BlobStore> Fleet<S> {
             let ev = self.events[self.next_event];
             self.next_event += 1;
             let at = ev.at.max(self.clock);
-            for s in &mut self.shards {
-                s.run_until(at);
-            }
+            self.shards.run_until(at);
             self.apply_event(ev, at);
             self.clock = self.clock.max(at);
         }
-        for s in &mut self.shards {
-            s.run_until(to);
-        }
+        self.shards.run_until(to);
         self.clock = self.clock.max(to);
     }
 
@@ -1208,7 +1124,7 @@ impl<S: BlobStore> Fleet<S> {
                     // node's shards lose their open sessions.
                     let mut shed = 0usize;
                     for s in hosted {
-                        shed += self.shards[s].shed_pending(at);
+                        shed += self.shards.shards_mut()[s].shed_pending(at);
                     }
                     self.metrics.inc(M_SHED, shed as u64);
                 }
@@ -1325,7 +1241,7 @@ impl<S: BlobStore> Fleet<S> {
     fn evacuate(&mut self, node: usize, at: TimePoint, reason: &'static str) {
         for shard in self.placement.hosted(node) {
             let Some(target) = self.least_loaded_up_node(node) else {
-                let shed = self.shards[shard].shed_pending(at);
+                let shed = self.shards.shards_mut()[shard].shed_pending(at);
                 self.metrics.inc(M_SHED, shed as u64);
                 continue;
             };
@@ -1362,12 +1278,12 @@ impl<S: BlobStore> Fleet<S> {
         if from == to {
             return;
         }
-        let objects = self.shards[shard].db().object_names().count() as u64;
+        let objects = self.shards.shard(shard).db().object_names().count() as u64;
         let meta_bytes = objects * METADATA_BYTES_PER_OBJECT;
         let payload_bytes = if self.nodes[to].salvaged.contains(&shard) {
             0
         } else {
-            let store = self.shards[shard].db().store();
+            let store = self.shards.shard(shard).db().store();
             store
                 .blob_ids()
                 .into_iter()
@@ -1378,10 +1294,10 @@ impl<S: BlobStore> Fleet<S> {
         let link = &self.nodes[to].link;
         let mut handoff_us = link.propagation_us + bytes.saturating_mul(1_000_000) / link.bandwidth;
         if !self.nodes[from].up {
-            handoff_us += self.detection_us;
+            handoff_us += DETECTION_US;
         }
         let handoff_end = at + TimeDelta::from_micros(handoff_us as i64);
-        self.shards[shard].set_stall_until(handoff_end);
+        self.shards.shards_mut()[shard].set_stall_until(handoff_end);
         // The source keeps (or kept) the bytes: a later migration back is
         // metadata-only. The target's copy is now authoritative.
         self.nodes[from].salvaged.insert(shard);
@@ -1437,7 +1353,7 @@ impl<S: BlobStore> Fleet<S> {
             cache_aware: base.cache_aware,
         };
         for s in hosted {
-            self.shards[s].set_capacity(split);
+            self.shards.shards_mut()[s].set_capacity(split);
         }
     }
 
@@ -1470,10 +1386,13 @@ impl<S: BlobStore> Fleet<S> {
     /// never tell the operator two different stories.
     fn node_load_pct(&self, node: usize) -> usize {
         let hosted = self.placement.hosted(node);
-        let committed: u64 = hosted.iter().map(|&s| self.shards[s].committed_bps()).sum();
+        let committed: u64 = hosted
+            .iter()
+            .map(|&s| self.shards.shard(s).committed_bps())
+            .sum();
         let capacity: u64 = hosted
             .iter()
-            .map(|&s| self.shards[s].capacity().storage_bandwidth)
+            .map(|&s| self.shards.shard(s).capacity().storage_bandwidth)
             .sum();
         committed
             .saturating_mul(100)
@@ -1522,7 +1441,7 @@ impl<S: BlobStore> Fleet<S> {
             .placement
             .hosted(hot)
             .into_iter()
-            .max_by_key(|&s| (self.shards[s].committed_bps(), usize::MAX - s))?;
+            .max_by_key(|&s| (self.shards.shard(s).committed_bps(), usize::MAX - s))?;
         self.tracer.event(
             "fleet.rebalance",
             Category::Fleet,
@@ -1556,7 +1475,7 @@ impl<S: BlobStore> Fleet<S> {
         at: TimePoint,
         reason: &'static str,
     ) -> Option<ShardMove> {
-        assert!(shard < self.shards.len(), "shard out of range");
+        assert!(shard < self.shards.shard_count(), "shard out of range");
         assert!(to < self.nodes.len(), "node out of range");
         let from = self.placement.node_of_shard(shard);
         if from == to || !self.nodes[to].up {
@@ -1632,13 +1551,21 @@ impl<S: BlobStore> Fleet<S> {
     /// layer ([`Server::force_degrade`]) — sticky until
     /// [`Fleet::release_degrade_all`]. Returns sessions degraded.
     pub fn force_degrade_all(&mut self, at: TimePoint) -> usize {
-        self.shards.iter_mut().map(|s| s.force_degrade(at)).sum()
+        self.shards
+            .shards_mut()
+            .iter_mut()
+            .map(|s| s.force_degrade(at))
+            .sum()
     }
 
     /// Lifts a fleet-wide forced degradation
     /// ([`Server::release_degrade`]). Returns sessions restored.
     pub fn release_degrade_all(&mut self, at: TimePoint) -> usize {
-        self.shards.iter_mut().map(|s| s.release_degrade(at)).sum()
+        self.shards
+            .shards_mut()
+            .iter_mut()
+            .map(|s| s.release_degrade(at))
+            .sum()
     }
 
     /// Replaces every shard's segment-cache budget, returning the first
@@ -1646,33 +1573,13 @@ impl<S: BlobStore> Fleet<S> {
     /// when set through the fleet builder or this method).
     pub fn set_cache_budget_all(&mut self, budget_bytes: u64) -> u64 {
         let mut prev = 0u64;
-        for (i, s) in self.shards.iter_mut().enumerate() {
+        for (i, s) in self.shards.shards_mut().iter_mut().enumerate() {
             let p = s.set_cache_budget(budget_bytes);
             if i == 0 {
                 prev = p;
             }
         }
         prev
-    }
-}
-
-/// The backoff actually charged for retry `attempt` under `policy`:
-/// nominal without jitter, seed-deterministic in `[nominal/2, nominal]`
-/// with it — the [`RetryPolicy::jittered`] rule, restated here because the
-/// transport loop steps simulated time itself instead of running inside
-/// [`RetryPolicy::run`].
-fn jittered_backoff(policy: &RetryPolicy, nominal: u64, attempt: u32) -> u64 {
-    match policy.jitter_seed {
-        None => nominal,
-        Some(seed) => {
-            let half = nominal / 2;
-            let spread = nominal - half;
-            if spread == 0 {
-                return nominal;
-            }
-            let h = splitmix64(splitmix64(seed) ^ u64::from(attempt + 1));
-            half + h % (spread + 1)
-        }
     }
 }
 

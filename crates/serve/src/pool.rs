@@ -6,16 +6,15 @@
 //! thread* runs a shard, never *what the shard computes*. The pool turns
 //! that into a hard contract:
 //!
-//! * **Tick barriers.** A parallel drive is split into rounds. Every round
-//!   has a goal (serve everything due by a barrier instant, or drain
-//!   completely), and a [`std::sync::Barrier`] separates rounds: no worker
-//!   starts round `k+1` until every shard has committed round `k`.
-//! * **Deterministic ownership, opportunistic stealing.** At the start of
-//!   each round worker `w` refills its own deque with shards `w, w+W,
+//! * **One round per drive.** A parallel drive has one goal (serve
+//!   everything due by an instant, or drain completely) and returns when
+//!   every shard has committed it.
+//! * **Deterministic ownership, opportunistic stealing.** Before any
+//!   worker starts, worker `w`'s deque is filled with shards `w, w+W,
 //!   w+2W, …` (a pure function of the worker count). A worker that runs
 //!   dry pops from the *back* of its neighbours' deques. Stealing moves a
 //!   shard index between deques — it never splits a shard's work — so each
-//!   shard is still driven by exactly one thread per round, in the same
+//!   shard is still driven by exactly one thread per drive, in the same
 //!   simulated-time order a sequential loop would use.
 //! * **Simulated time is untouched.** Every shard serves its own elements
 //!   at the same exact rational instants it would single-threaded, so
@@ -31,16 +30,16 @@
 
 use crate::Server;
 use std::collections::VecDeque;
-use std::sync::{Barrier, Mutex};
+use std::sync::Mutex;
 use tbm_blob::BlobStore;
 use tbm_time::TimePoint;
 
-/// What one parallel round asks of every shard.
+/// What a parallel drive asks of every shard.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RoundGoal {
-    /// Serve everything due at or before the barrier instant.
+    /// Serve everything due at or before the instant.
     RunUntil(TimePoint),
-    /// Drain the event loop completely (the finish round).
+    /// Drain the event loop completely (the finish drive).
     Drain,
 }
 
@@ -53,7 +52,7 @@ pub struct WorkerStats {
     pub shards_run: u64,
     /// Slots taken from another worker's deque.
     pub steals: u64,
-    /// Barrier-separated rounds this worker participated in.
+    /// Parallel drives (one round each) this worker participated in.
     pub rounds: u64,
 }
 
@@ -66,24 +65,24 @@ impl WorkerStats {
     }
 }
 
-/// Drives every shard through `goals`, one barrier-separated round per
-/// goal, on `workers` scoped threads. Returns per-worker counters.
+/// Drives every shard to `goal` on `workers` scoped threads. Returns
+/// per-worker counters.
 ///
 /// The servers are moved into per-shard mutex slots for the drive and
 /// moved back out afterwards; a shard index lives in exactly one deque at
 /// a time, so each slot lock is uncontended — it exists to satisfy the
 /// borrow checker across threads, not to serialise work.
-pub(crate) fn run_rounds<S: BlobStore>(
+pub(crate) fn run_round<S: BlobStore>(
     shards: &mut Vec<Server<S>>,
-    goals: &[RoundGoal],
+    goal: RoundGoal,
     workers: usize,
 ) -> Vec<WorkerStats> {
     let n = shards.len();
     let workers = workers.clamp(1, n.max(1));
     let slots: Vec<Mutex<Server<S>>> = std::mem::take(shards).into_iter().map(Mutex::new).collect();
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    let barrier = Barrier::new(workers);
+    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
+        .map(|w| Mutex::new((w..n).step_by(workers).collect()))
+        .collect();
     let mut stats = vec![WorkerStats::default(); workers];
 
     std::thread::scope(|scope| {
@@ -91,47 +90,36 @@ pub(crate) fn run_rounds<S: BlobStore>(
             .map(|w| {
                 let slots = &slots;
                 let queues = &queues;
-                let barrier = &barrier;
                 scope.spawn(move || {
-                    let mut my = WorkerStats::default();
-                    for goal in goals {
-                        {
-                            let mut q = queues[w].lock().unwrap();
-                            q.clear();
-                            q.extend((w..n).step_by(workers));
-                        }
-                        // Every deque is full before anyone may steal.
-                        barrier.wait();
-                        my.rounds += 1;
-                        loop {
-                            let mut task =
-                                queues[w].lock().unwrap().pop_front().map(|i| (i, false));
-                            if task.is_none() {
-                                for off in 1..workers {
-                                    let victim = (w + off) % workers;
-                                    if let Some(i) = queues[victim].lock().unwrap().pop_back() {
-                                        task = Some((i, true));
-                                        break;
-                                    }
+                    let mut my = WorkerStats {
+                        rounds: 1,
+                        ..WorkerStats::default()
+                    };
+                    loop {
+                        let mut task = queues[w].lock().unwrap().pop_front().map(|i| (i, false));
+                        if task.is_none() {
+                            for off in 1..workers {
+                                let victim = (w + off) % workers;
+                                if let Some(i) = queues[victim].lock().unwrap().pop_back() {
+                                    task = Some((i, true));
+                                    break;
                                 }
                             }
-                            // Indices are only ever removed mid-round, so
-                            // all-deques-empty is a stable exit condition:
-                            // every remaining shard is already claimed by
-                            // the worker that popped it.
-                            let Some((shard, stolen)) = task else { break };
-                            my.shards_run += 1;
-                            if stolen {
-                                my.steals += 1;
-                            }
-                            let mut server = slots[shard].lock().unwrap();
-                            match goal {
-                                RoundGoal::RunUntil(to) => server.run_until(*to),
-                                RoundGoal::Drain => server.drain_all(),
-                            }
                         }
-                        // The round commits before the next barrier opens.
-                        barrier.wait();
+                        // Indices are only ever removed, so all-deques-
+                        // empty is a stable exit condition: every
+                        // remaining shard is already claimed by the
+                        // worker that popped it.
+                        let Some((shard, stolen)) = task else { break };
+                        my.shards_run += 1;
+                        if stolen {
+                            my.steals += 1;
+                        }
+                        let mut server = slots[shard].lock().unwrap();
+                        match goal {
+                            RoundGoal::RunUntil(to) => server.run_until(to),
+                            RoundGoal::Drain => server.drain_all(),
+                        }
                     }
                     my
                 })

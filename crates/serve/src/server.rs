@@ -10,10 +10,10 @@
 //! about. Everything is exact rational time, so a run is a pure function of
 //! its request trace (and a fault plan's seed, if the store injects one).
 //!
-//! Per element the server walks the same ladder as
-//! [`tbm_player::ResilientPlayer`]: cache lookup, then a retried read,
-//! then per-layer checksum verification, then the
-//! [`DegradationPolicy`] ladder (base layers → repeat → drop) for anything
+//! Per element the server walks the ladder [`tbm_player::ResilientPlayer`]
+//! walks, through the same code: cache lookup, then [`fetch_layer`] (a
+//! retried read, then per-layer checksum verification), then
+//! [`ElementFate::decide`] (base layers → repeat → drop) for anything
 //! unrecoverable. Only verified bytes enter the cache, so one session's
 //! intact read shields every later session from a deterministic storage
 //! fault at the same span.
@@ -29,8 +29,8 @@ use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::io;
 use std::ops::Range;
 use std::sync::Arc;
-use tbm_blob::{BlobStore, MemBlobStore, ReadCtx, RetryPolicy};
-use tbm_core::{crc32, SessionId};
+use tbm_blob::{BlobStore, MemBlobStore, RetryPolicy};
+use tbm_core::SessionId;
 use tbm_db::MediaDb;
 use tbm_obs::{
     attribute, chrome_trace_to_writer, micros, AttributionReport, Category, CounterId, GaugeId,
@@ -38,7 +38,7 @@ use tbm_obs::{
     ATTR_ELEMENT_INDEX, ATTR_FAILOVER_US, ATTR_INHERITED_US, ATTR_LATENESS_US, ATTR_NODELOSS_US,
     ATTR_RETRY_US, ATTR_STORAGE_US, ATTR_WAIT_US, ELEMENT_SPAN, LATENCY_BUCKETS_US,
 };
-use tbm_player::{DegradationPolicy, ElementFate};
+use tbm_player::{fetch_layer, DegradationPolicy, ElementFate};
 use tbm_time::{Rational, TimeDelta, TimePoint};
 
 // Registry metric names. Counters mirror the snapshot fields of
@@ -119,6 +119,15 @@ impl MetricIds {
     }
 }
 
+/// The server's ladder, fixed by construction: a layer read is retried
+/// under [`RETRY`], and an element that still cannot be fetched whole falls
+/// back to its verified base layers, else to a repeat of the session's last
+/// good element, else to a drop. Nothing ever asked for another ladder, so
+/// there is no builder for one.
+const LADDER: DegradationPolicy = DegradationPolicy::DropLayers;
+/// Three retries per layer read (200 µs base backoff, 50 ms budget).
+const RETRY: RetryPolicy = RetryPolicy::new(3);
+
 /// One queued element fetch. Ordering is `(deadline, session, pos)` so the
 /// heap is a deterministic earliest-deadline-first queue.
 ///
@@ -135,6 +144,48 @@ struct QueuedJob {
     session: u64,
     pos: usize,
     epoch: u64,
+}
+
+/// One element's way through the service channel, filled in stage by stage
+/// (see [`Server::serve_job`]). Values only a trace wants are not kept
+/// here: the record stage derives them under an enabled tracer.
+#[derive(Debug, Default)]
+struct ElementOutcome {
+    /// Dispatch, known before any read: when the channel frees up (or the
+    /// session's anchor, if later) ...
+    natural_start: TimePoint,
+    /// ... pushed later by a node-outage stall ...
+    start: TimePoint,
+    /// ... and the presentation deadline — `None` for the first element
+    /// after an anchor, which sets the presentation clock.
+    due: Option<TimePoint>,
+    /// The element's trace span.
+    span: SpanId,
+    /// Fetch: layers wanted, and how many came back verified in order.
+    layers: usize,
+    intact_layers: usize,
+    /// Most read attempts any one layer needed (1 = no retry).
+    attempts_max: u32,
+    /// Bytes read from the store on first attempts and on retries, and
+    /// bytes handed to the decoder (cache hits included).
+    bytes_first: u64,
+    bytes_retry: u64,
+    bytes_decoded: u64,
+    backoff_us: u64,
+    /// The store's failover latency hint, and whether it healed a tier.
+    failover_us: u64,
+    repaired: bool,
+    /// Fate: the ladder's verdict.
+    fate: ElementFate,
+    /// Timing: the service time's components, the store's latency hint,
+    /// the total, when the element is ready, and by how much it is late.
+    first_cost: Rational,
+    retry_cost: Rational,
+    decode_cost: Rational,
+    hint_us: u64,
+    service: TimeDelta,
+    ready: TimePoint,
+    lateness: TimeDelta,
 }
 
 /// The cache-aware storage multiplier for the `pending` elements of a
@@ -185,8 +236,6 @@ pub struct Server<S: BlobStore = MemBlobStore> {
     db: MediaDb<S>,
     capacity: Capacity,
     cache: SegmentCache,
-    retry: RetryPolicy,
-    policy: DegradationPolicy,
     sessions: Vec<Session>,
     /// Sessions holding capacity (opened, playing or paused).
     active: usize,
@@ -236,15 +285,10 @@ pub struct Server<S: BlobStore = MemBlobStore> {
     /// Scratch for the same-deadline batch the loop is currently serving;
     /// kept on the server so its allocation is reused across batches.
     batch: VecDeque<QueuedJob>,
-    /// When set (and a tracer is attached), every same-deadline batch is
-    /// recorded as a [`Category::Sched`] span. Off by default so existing
-    /// traces stay byte-identical.
-    batch_spans: bool,
 }
 
 impl<S: BlobStore> Server<S> {
-    /// A server over `db` with the given capacity, no cache, 3 retries and
-    /// the [`DegradationPolicy::DropLayers`] ladder.
+    /// A server over `db` with the given capacity and no cache.
     pub fn new(db: MediaDb<S>, capacity: Capacity) -> Server<S> {
         let mut metrics = MetricsRegistry::new();
         let ids = MetricIds::register(&mut metrics);
@@ -252,8 +296,6 @@ impl<S: BlobStore> Server<S> {
             db,
             capacity,
             cache: SegmentCache::disabled(),
-            retry: RetryPolicy::new(3),
-            policy: DegradationPolicy::DropLayers,
             sessions: Vec::new(),
             active: 0,
             capped_live: 0,
@@ -272,41 +314,12 @@ impl<S: BlobStore> Server<S> {
             ids,
             tracer: Tracer::disabled(),
             batch: VecDeque::new(),
-            batch_spans: false,
         }
     }
 
-    /// Builder: records every same-deadline batch the event loop serves as
-    /// a `"batch"` span in the [`Category::Sched`] category (span start =
-    /// the shared deadline, end = the instant the channel frees up, `jobs`
-    /// attr = elements served in the batch). Off by default: batch spans
-    /// are scheduler diagnostics, and leaving them out keeps traces
-    /// byte-identical with runs recorded before batching existed.
-    pub fn with_batch_spans(mut self) -> Server<S> {
-        self.batch_spans = true;
-        self
-    }
-
-    /// Builder: attaches a shared segment cache.
-    pub fn with_cache(mut self, cache: SegmentCache) -> Server<S> {
-        self.cache = cache;
-        self
-    }
-
-    /// Builder: attaches a cache with the given byte budget.
-    pub fn with_cache_budget(self, budget_bytes: u64) -> Server<S> {
-        self.with_cache(SegmentCache::new(budget_bytes))
-    }
-
-    /// Builder: sets the per-read retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Server<S> {
-        self.retry = retry;
-        self
-    }
-
-    /// Builder: sets the per-element degradation policy.
-    pub fn with_degradation(mut self, policy: DegradationPolicy) -> Server<S> {
-        self.policy = policy;
+    /// Builder: attaches a segment cache with the given byte budget.
+    pub fn with_cache_budget(mut self, budget_bytes: u64) -> Server<S> {
+        self.cache = SegmentCache::new(budget_bytes);
         self
     }
 
@@ -314,19 +327,13 @@ impl<S: BlobStore> Server<S> {
     /// `base..base+n`. A [`crate::ShardedServer`] gives shard `i` the base
     /// `i << 32`, so every session id in the fleet is unique and encodes
     /// its owning shard.
-    pub fn with_session_base(mut self, base: u64) -> Server<S> {
+    pub(crate) fn with_session_base(mut self, base: u64) -> Server<S> {
         assert!(
             self.sessions.is_empty(),
             "session base must be set before any session is admitted"
         );
         self.session_base = base;
         self
-    }
-
-    /// The first session id this server allocates (0 unless offset by
-    /// [`Server::with_session_base`]).
-    pub fn session_base(&self) -> u64 {
-        self.session_base
     }
 
     /// Builder: attaches a tracer. Every session lifecycle step, admission
@@ -388,7 +395,7 @@ impl<S: BlobStore> Server<S> {
     /// new arrivals are admitted against the new budget; and a *larger*
     /// budget immediately lifts degraded-admission sessions back to full
     /// fidelity where it fits ([`Server::finish`] semantics are unchanged).
-    pub fn set_capacity(&mut self, capacity: Capacity) {
+    pub(crate) fn set_capacity(&mut self, capacity: Capacity) {
         self.capacity = capacity;
         self.try_upgrade_sessions(self.clock);
         debug_assert_eq!(self.check_invariants(), Ok(()));
@@ -400,7 +407,7 @@ impl<S: BlobStore> Server<S> {
     /// elements queued before the move complete after it — paying the
     /// outage as an explicitly attributed `node-loss` component instead of
     /// disappearing or masquerading as channel wait.
-    pub fn set_stall_until(&mut self, until: TimePoint) {
+    pub(crate) fn set_stall_until(&mut self, until: TimePoint) {
         self.stall_until = self.stall_until.max(until);
     }
 
@@ -519,8 +526,10 @@ impl<S: BlobStore> Server<S> {
     ///    with the heap top; if the heap now holds an earlier job, the
     ///    remaining batch is pushed back and the loop restarts from the
     ///    true minimum.
+    ///
+    /// Every batch that served something counts once in `serve.batches`.
     fn drain(&mut self, limit: Option<TimePoint>) {
-        'outer: while let Some(&Reverse(top)) = self.heap.peek() {
+        while let Some(&Reverse(top)) = self.heap.peek() {
             if limit.is_some_and(|to| top.deadline > to) {
                 break;
             }
@@ -532,28 +541,17 @@ impl<S: BlobStore> Server<S> {
                 self.heap.pop();
                 self.batch.push_back(j);
             }
-            let batch_span = if self.batch_spans {
-                self.tracer
-                    .begin_span("batch", Category::Sched, d, SpanId::NONE, None)
-            } else {
-                SpanId::NONE
-            };
-            let mut served_in_batch = 0u64;
+            let mut served_in_batch = false;
             while let Some(job) = self.batch.pop_front() {
-                if let Some(&Reverse(t)) = self.heap.peek() {
-                    if t < job {
-                        // A mid-serve push outranks the batch: fall back to
-                        // the heap so the global order is preserved.
-                        self.heap.push(Reverse(job));
-                        while let Some(rest) = self.batch.pop_front() {
-                            self.heap.push(Reverse(rest));
-                        }
-                        self.finish_batch(batch_span, served_in_batch, d);
-                        continue 'outer;
-                    }
+                if self.heap.peek().is_some_and(|&Reverse(t)| t < job) {
+                    // A mid-serve push outranks the batch: fall back to
+                    // the heap so the global order is preserved.
+                    self.heap.push(Reverse(job));
+                    self.heap.extend(self.batch.drain(..).map(Reverse));
+                    break;
                 }
                 if self.serve_job(job) {
-                    served_in_batch += 1;
+                    served_in_batch = true;
                     if let Some(next) = self.successor_of(job) {
                         if next.deadline == d {
                             self.batch.push_front(next);
@@ -563,18 +561,9 @@ impl<S: BlobStore> Server<S> {
                     }
                 }
             }
-            self.finish_batch(batch_span, served_in_batch, d);
-        }
-    }
-
-    /// Closes a batch: counts it and (when enabled) closes its sched span.
-    fn finish_batch(&mut self, span: SpanId, served: u64, deadline: TimePoint) {
-        if served > 0 {
-            self.metrics.inc_at(self.ids.batches, 1);
-        }
-        if !span.is_none() {
-            self.tracer.attr(span, "jobs", served);
-            self.tracer.end_span(span, self.busy_until.max(deadline));
+            if served_in_batch {
+                self.metrics.inc_at(self.ids.batches, 1);
+            }
         }
     }
 
@@ -1393,42 +1382,30 @@ impl<S: BlobStore> Server<S> {
     // The service channel
     // ------------------------------------------------------------------
 
-    /// Serves one queued element fetch: cache lookup, retried+verified
-    /// layer reads, the degradation ladder, and exact-rational timing
-    /// through the shared channel. Returns `false` for a stale entry
-    /// (nothing served), `true` after a real serve — the event loop queues
-    /// the session's successor only in the latter case.
+    /// Serves one queued element through the element pipeline — fetch →
+    /// fate → timing → record, four stages over one [`ElementOutcome`] —
+    /// and moves its session on. Returns `false` for a stale entry (nothing
+    /// served), `true` after a real serve — the event loop queues the
+    /// session's successor only in the latter case.
     fn serve_job(&mut self, job: QueuedJob) -> bool {
         let idx = (job.session - self.session_base) as usize;
-        let s = &mut self.sessions[idx];
+        let s = &self.sessions[idx];
         if s.epoch != job.epoch || s.state != SessionState::Playing {
             return false; // stale: paused, re-anchored or closed since queueing
         }
         debug_assert_eq!(job.pos, s.pending.start, "sessions are served in order");
-        let store = self.db.store();
-        let ids = self.ids;
-        let traced = self.tracer.is_enabled();
-        let plan = &*s.plan;
-        let layers = plan.layers_of(job.pos);
-        let blob = plan.blob;
-
         // The channel dispatches this element when it frees up (or at the
         // anchor, whichever is later) — known before any read happens, so
-        // the element span and the injected-fault events of the reads below
-        // all land at the right simulated instant. A node-outage stall
+        // the element span and the injected-fault events of the reads all
+        // land at the right simulated instant. A node-outage stall
         // (migration handoff) can only push dispatch later; the difference
-        // is attributed to `node-loss` below, never to channel wait.
+        // is attributed to `node-loss`, never to channel wait.
         let natural_start = self.busy_until.max(s.play_time);
         let start = natural_start.max(self.stall_until);
         self.tracer.set_now(start);
         // A tiered store runs its breakers and outage scripts on the same
         // simulated instant the element is dispatched at.
-        store.set_sim_now(start);
-        // The element was queued `job.deadline - play_time` past the
-        // anchor; it is due the same distance past the presentation
-        // clock's base, once the first element after the anchor has set
-        // that.
-        let due = s.clock_base.map(|base| base + (job.deadline - s.play_time));
+        self.db.store().set_sim_now(start);
         let span = self.tracer.begin_span(
             ELEMENT_SPAN,
             Category::Serve,
@@ -1437,16 +1414,49 @@ impl<S: BlobStore> Server<S> {
             Some(job.session),
         );
         self.tracer.attr(span, ATTR_ELEMENT_INDEX, job.pos);
+        let mut e = ElementOutcome {
+            natural_start,
+            start,
+            // Queued `job.deadline - play_time` past the anchor, the
+            // element is due the same distance past the presentation
+            // clock's base.
+            due: s.clock_base.map(|base| base + (job.deadline - s.play_time)),
+            span,
+            ..ElementOutcome::default()
+        };
+        self.fetch_element(idx, job, &mut e);
+        self.decide_fate(idx, &mut e);
+        self.time_element(idx, &mut e);
+        self.record_element(idx, &e);
 
-        // Fetch every allowed layer, stopping at the first bad one. Bytes
-        // are split into first-attempt reads and retry re-reads so the
-        // element's service time can be attributed to storage vs. retries.
-        let mut bytes_first = 0u64;
-        let mut bytes_retry = 0u64;
-        let mut bytes_decoded = 0u64;
-        let mut backoff_us = 0u64;
-        let mut attempts_max = 1u32;
-        let mut intact_layers = 0usize;
+        let s = &self.sessions[idx];
+        let root = s.span;
+        let rest = job.pos + 1..s.pending.end;
+        let done = rest.is_empty();
+        self.set_pending(idx, rest);
+        if done {
+            self.retire(idx, SessionState::Finished);
+            self.tracer.end_span(root, e.ready);
+        }
+        // After every served element: a finished session just released
+        // capacity, and a tier breaker may have closed during the reads —
+        // both can lift a degraded session back to full fidelity.
+        self.try_upgrade_sessions(e.ready);
+        true
+    }
+
+    /// Stage 1 — fetch every allowed layer, from the cache or else the
+    /// store ([`fetch_layer`]: retried, then verified), stopping at the
+    /// first bad one. A verified buffer becomes the cache entry. Bytes are
+    /// split into first-attempt reads and retry re-reads so the element's
+    /// service time can be attributed to storage vs. retries.
+    fn fetch_element(&mut self, idx: usize, job: QueuedJob, e: &mut ElementOutcome) {
+        let s = &mut self.sessions[idx];
+        let store = self.db.store();
+        let blob = s.plan.blob;
+        let layers = s.plan.layers_of(job.pos);
+        e.layers = layers.len();
+        e.attempts_max = 1;
         // Slack before this element is late — the store's hedging budget,
         // the same for every layer of the element, so worked out on its
         // first miss only. None until the presentation clock is
@@ -1454,15 +1464,15 @@ impl<S: BlobStore> Server<S> {
         let slack_us = OnceCell::new();
         for (li, &(layer_span, expected_crc)) in layers.iter().enumerate() {
             let probe = || vec![("layer", li.into()), ("bytes", layer_span.len.into())];
+            e.bytes_decoded += layer_span.len;
             if self.cache.get(blob, layer_span).is_some() {
                 s.stats.cache_hits += 1;
-                bytes_decoded += layer_span.len;
-                intact_layers += 1;
+                e.intact_layers += 1;
                 self.tracer.event_with(
                     "cache.hit",
                     Category::Cache,
-                    start,
-                    span,
+                    e.start,
+                    e.span,
                     Some(job.session),
                     probe,
                 );
@@ -1472,103 +1482,57 @@ impl<S: BlobStore> Server<S> {
             self.tracer.event_with(
                 "cache.miss",
                 Category::Cache,
-                start,
-                span,
+                e.start,
+                e.span,
                 Some(job.session),
                 probe,
             );
             let slack_us: Option<u64> = *slack_us.get_or_init(|| {
-                due.map(|d| micros((d - start).max(TimeDelta::ZERO).seconds()) as u64)
+                e.due
+                    .map(|d| micros((d - e.start).max(TimeDelta::ZERO).seconds()) as u64)
             });
-            let (result, report) = self.retry.run(|attempt| {
-                let mut buf = vec![0u8; layer_span.len as usize];
-                let ctx = ReadCtx {
-                    attempt,
-                    deadline_slack_us: slack_us,
-                    expected_crc,
-                };
-                store
-                    .read_into_ctx(blob, layer_span, &mut buf, &ctx)
-                    .map(|()| buf)
-            });
-            bytes_first += layer_span.len;
-            bytes_retry += layer_span.len * (report.attempts.saturating_sub(1)) as u64;
-            bytes_decoded += layer_span.len;
-            backoff_us += report.backoff_spent_us;
-            attempts_max = attempts_max.max(report.attempts);
-            let intact = match result {
-                Ok(bytes) => {
-                    let ok = match expected_crc {
-                        Some(sum) => crc32(&bytes) == sum,
-                        None => true, // no checksum recorded: trust the read
-                    };
-                    if ok {
-                        self.cache.insert(blob, layer_span, bytes);
-                    }
-                    ok
-                }
-                Err(_) => false,
-            };
-            if !intact {
-                self.metrics.inc_at(ids.faults, 1);
+            let read = fetch_layer(store, &RETRY, blob, layer_span, expected_crc, slack_us);
+            e.bytes_first += layer_span.len;
+            e.bytes_retry += layer_span.len * read.attempts.saturating_sub(1) as u64;
+            e.backoff_us += read.backoff_us;
+            e.attempts_max = e.attempts_max.max(read.attempts);
+            let Some(bytes) = read.bytes else {
+                self.metrics.inc_at(self.ids.faults, 1);
                 break;
-            }
-            intact_layers += 1;
+            };
+            self.cache.insert(blob, layer_span, bytes);
+            e.intact_layers += 1;
         }
-        let bytes_from_store = bytes_first + bytes_retry;
-        self.metrics.inc_at(ids.bytes_read, bytes_from_store);
+        self.metrics
+            .inc_at(self.ids.bytes_read, e.bytes_first + e.bytes_retry);
         // Tier accounting: the slice of the store's latency hint spent on
         // failed attempts and slow-tier failover serves, and whether a tier
         // was healed from a verifying peer during these reads. Zero for
         // single-backend stores.
-        let failover_us = store.drain_failover_hint_us();
-        let repairs = store.drain_repairs();
+        e.failover_us = store.drain_failover_hint_us();
+        e.repaired = store.drain_repairs() > 0;
+    }
 
-        // The same ladder as ResilientPlayer, expressed per session.
-        let all_intact = intact_layers == layers.len();
-        let fate = if all_intact {
-            if attempts_max > 1 {
-                ElementFate::Recovered {
-                    attempts: attempts_max,
-                }
-            } else {
-                ElementFate::Intact
-            }
-        } else {
-            match self.policy {
-                DegradationPolicy::DropLayers if intact_layers > 0 => ElementFate::BaseLayers {
-                    layers: intact_layers,
-                },
-                DegradationPolicy::DropLayers | DegradationPolicy::RepeatLast => {
-                    if s.have_good {
-                        ElementFate::Repeated
-                    } else {
-                        ElementFate::Dropped
-                    }
-                }
-                DegradationPolicy::Skip => ElementFate::Dropped,
-            }
-        };
-        let fate_label = match fate {
-            ElementFate::Intact => "intact",
-            ElementFate::Recovered { .. } => "recovered",
-            ElementFate::BaseLayers { .. } => "base-layers",
-            ElementFate::Repeated => "repeated",
-            ElementFate::Dropped => "dropped",
-        };
-        match fate {
-            ElementFate::Intact => s.have_good = true,
+    /// Stage 2 — the ladder's verdict ([`ElementFate::decide`] under
+    /// [`LADDER`]) and the counts that follow from it.
+    fn decide_fate(&mut self, idx: usize, e: &mut ElementOutcome) {
+        let s = &mut self.sessions[idx];
+        let ids = self.ids;
+        e.fate = ElementFate::decide(
+            LADDER,
+            e.intact_layers,
+            e.layers,
+            e.attempts_max,
+            s.have_good,
+        );
+        s.have_good |= e.fate.presents_fresh();
+        match e.fate {
+            ElementFate::Intact => {}
             ElementFate::Recovered { .. } => {
-                s.have_good = true;
                 s.stats.recovered += 1;
                 self.metrics.inc_at(ids.recovered, 1);
             }
-            ElementFate::BaseLayers { .. } => {
-                s.have_good = true;
-                s.stats.degraded += 1;
-                self.metrics.inc_at(ids.degraded, 1);
-            }
-            ElementFate::Repeated => {
+            ElementFate::BaseLayers { .. } | ElementFate::Repeated => {
                 s.stats.degraded += 1;
                 self.metrics.inc_at(ids.degraded, 1);
             }
@@ -1581,47 +1545,52 @@ impl<S: BlobStore> Server<S> {
         // a detected fault resolved by healing instead of degradation — the
         // third leg of the fault-accounting partition. Elements that end
         // degraded or dropped anyway keep their single ladder fault.
-        if repairs > 0 && all_intact {
+        if e.repaired && e.intact_layers == e.layers {
             s.stats.repaired += 1;
             self.metrics.inc_at(ids.repaired, 1);
             self.metrics.inc_at(ids.faults, 1);
         }
+    }
 
-        // Timing through the shared channel: cache hits skip the storage
-        // transfer but still pay decode and dispatch; retries re-read. The
-        // total is decomposed into the components miss attribution ranks:
-        // first-attempt storage transfer (+ the store's latency hint),
-        // retry re-reads (+ backoff), and decode (+ dispatch overhead).
-        // Their sum is exactly the old single-`cost` formula, so timing is
-        // bit-identical to the untraced engine.
+    /// Stage 3 — timing through the shared channel: cache hits skip the
+    /// storage transfer but still pay decode and dispatch; retries re-read.
+    /// The service time is kept as the components miss attribution ranks:
+    /// first-attempt storage transfer (+ the store's latency hint), retry
+    /// re-reads (+ backoff), and decode (+ dispatch overhead).
+    fn time_element(&mut self, idx: usize, e: &mut ElementOutcome) {
         let model = self.capacity.cost_model();
         let bw = model.bandwidth.max(1) as i64;
-        let first_cost = Rational::new(bytes_first as i64, bw);
-        let retry_cost = Rational::new(bytes_retry as i64, bw);
-        let mut decode_cost = Rational::new(model.overhead_us as i64, 1_000_000);
+        e.first_cost = Rational::new(e.bytes_first as i64, bw);
+        e.retry_cost = Rational::new(e.bytes_retry as i64, bw);
+        e.decode_cost = Rational::new(model.overhead_us as i64, 1_000_000);
         if model.decode_rate > 0 {
-            decode_cost += Rational::new(bytes_decoded as i64, model.decode_rate as i64);
+            e.decode_cost += Rational::new(e.bytes_decoded as i64, model.decode_rate as i64);
         }
-        let hint_us = store.drain_cost_hint_us();
-        let penalty_us = backoff_us + hint_us;
-        let service = TimeDelta::from_seconds(first_cost + retry_cost + decode_cost)
-            + TimeDelta::from_micros(penalty_us as i64);
-        let ready = start + service;
-        self.busy_until = ready;
-
+        e.hint_us = self.db.store().drain_cost_hint_us();
+        e.service = TimeDelta::from_seconds(e.first_cost + e.retry_cost + e.decode_cost)
+            + TimeDelta::from_micros((e.backoff_us + e.hint_us) as i64);
+        e.ready = e.start + e.service;
+        self.busy_until = e.ready;
         // The presentation clock starts when the first element after the
         // anchor completes (a one-element startup buffer).
-        let deadline = due.unwrap_or(ready);
-        if due.is_none() {
-            s.clock_base = Some(ready);
+        if e.due.is_none() {
+            self.sessions[idx].clock_base = Some(e.ready);
         }
-        let lateness = (ready - deadline).max(TimeDelta::ZERO);
-        let lateness_us = micros(lateness.seconds());
+        e.lateness = (e.ready - e.due.unwrap_or(e.ready)).max(TimeDelta::ZERO);
+    }
+
+    /// Stage 4 — the books: element, service and lateness metrics, and the
+    /// element span's attribution attrs (worked out only under an enabled
+    /// tracer).
+    fn record_element(&mut self, idx: usize, e: &ElementOutcome) {
+        let s = &mut self.sessions[idx];
+        let ids = self.ids;
+        let lateness_us = micros(e.lateness.seconds());
         s.stats.elements += 1;
         self.metrics.inc_at(ids.elements, 1);
         self.metrics
-            .observe_at(ids.service, micros(service.seconds()) as u64);
-        if lateness > TimeDelta::ZERO {
+            .observe_at(ids.service, micros(e.service.seconds()) as u64);
+        if e.lateness > TimeDelta::ZERO {
             s.stats.misses += 1;
             self.metrics.inc_at(ids.misses, 1);
             self.metrics.observe_at(ids.lateness, lateness_us as u64);
@@ -1629,70 +1598,56 @@ impl<S: BlobStore> Server<S> {
             // sessions' lateness is a different population (base-layer-only
             // admissions under pressure), and queries like "p99 lateness
             // for degraded sessions" need the two recorded apart.
-            let by_fidelity = if plan.layers_cap.is_some() {
+            let by_fidelity = if s.plan.layers_cap.is_some() {
                 ids.lateness_degraded
             } else {
                 ids.lateness_full
             };
             self.metrics.observe_at(by_fidelity, lateness_us as u64);
-            s.stats.max_lateness = s.stats.max_lateness.max(lateness);
+            s.stats.max_lateness = s.stats.max_lateness.max(e.lateness);
         }
         self.metrics
             .set_gauge_at(ids.cache_bytes, self.cache.bytes_cached() as i64);
 
-        if bytes_from_store > 0 || traced {
+        let read_from_store = e.bytes_first + e.bytes_retry > 0;
+        let traced = self.tracer.is_enabled();
+        if read_from_store || traced {
             // The failover share of the hint is split out so miss
             // attribution can rank tier failover separately from plain
             // storage latency; the sum (and hence the timing) is unchanged.
-            let storage_us = micros(first_cost) + hint_us.saturating_sub(failover_us) as i64;
-            let retry_us = micros(retry_cost) + backoff_us as i64;
-            if bytes_from_store > 0 {
-                self.metrics.observe_at(
-                    ids.read,
-                    (storage_us + retry_us + failover_us as i64) as u64,
-                );
+            let storage_us = micros(e.first_cost) + e.hint_us.saturating_sub(e.failover_us) as i64;
+            let retry_us = micros(e.retry_cost) + e.backoff_us as i64;
+            if read_from_store {
+                let read_us = storage_us + retry_us + e.failover_us as i64;
+                self.metrics.observe_at(ids.read, read_us as u64);
             }
             if traced {
                 // How long the element sat behind *other* traffic before
                 // dispatch: channel wait beyond this session's own
                 // anchor/pipeline position. The node-outage stall is split
                 // out so a handoff-delayed element reads as `node-loss`,
-                // not admission over-commit; the two sum to the old single
-                // wait, so timing is bit-identical when never stalled.
+                // not admission over-commit.
                 let wait_base = s.play_time.max(s.last_ready);
-                let wait_us = micros((natural_start - wait_base).max(TimeDelta::ZERO).seconds());
-                let nodeloss_us = micros((start - natural_start).seconds());
+                let waited = (e.natural_start - wait_base).max(TimeDelta::ZERO);
+                let nodeloss_us = micros((e.start - e.natural_start).seconds());
                 // Lateness carried over from the previous element's
                 // overrun: the part of this miss that is inherited backlog,
                 // not this element's own doing.
                 let inherited_us = s.last_lateness_us.min(lateness_us).max(0);
-                self.tracer.attr(span, "fate", fate_label);
-                self.tracer.attr(span, ATTR_WAIT_US, wait_us);
-                self.tracer.attr(span, ATTR_NODELOSS_US, nodeloss_us);
-                self.tracer.attr(span, ATTR_STORAGE_US, storage_us);
-                self.tracer.attr(span, ATTR_RETRY_US, retry_us);
-                self.tracer.attr(span, ATTR_FAILOVER_US, failover_us as i64);
-                self.tracer.attr(span, ATTR_DECODE_US, micros(decode_cost));
-                self.tracer.attr(span, ATTR_INHERITED_US, inherited_us);
-                self.tracer.attr(span, ATTR_LATENESS_US, lateness_us);
-                self.tracer.end_span(span, ready);
+                let (tracer, span) = (&self.tracer, e.span);
+                tracer.attr(span, "fate", e.fate.label());
+                tracer.attr(span, ATTR_WAIT_US, micros(waited.seconds()));
+                tracer.attr(span, ATTR_NODELOSS_US, nodeloss_us);
+                tracer.attr(span, ATTR_STORAGE_US, storage_us);
+                tracer.attr(span, ATTR_RETRY_US, retry_us);
+                tracer.attr(span, ATTR_FAILOVER_US, e.failover_us as i64);
+                tracer.attr(span, ATTR_DECODE_US, micros(e.decode_cost));
+                tracer.attr(span, ATTR_INHERITED_US, inherited_us);
+                tracer.attr(span, ATTR_LATENESS_US, lateness_us);
+                tracer.end_span(span, e.ready);
             }
         }
-        s.last_ready = ready;
+        s.last_ready = e.ready;
         s.last_lateness_us = lateness_us;
-
-        let root = s.span;
-        let rest = job.pos + 1..s.pending.end;
-        let done = rest.is_empty();
-        self.set_pending(idx, rest);
-        if done {
-            self.retire(idx, SessionState::Finished);
-            self.tracer.end_span(root, ready);
-        }
-        // After every served element: a finished session just released
-        // capacity, and a tier breaker may have closed during the reads
-        // above — both can lift a degraded session back to full fidelity.
-        self.try_upgrade_sessions(ready);
-        true
     }
 }

@@ -32,11 +32,11 @@
 //! hottest shard sits above the per-shard mean element load) for
 //! rebalance-on-skew alerting.
 
-use crate::pool::{run_rounds, RoundGoal};
+use crate::pool::{run_round, RoundGoal};
 use crate::{Capacity, Request, Response, ServeError, Server, ServerStats, Session, WorkerStats};
 use std::fmt;
 use std::io;
-use tbm_blob::{BlobStore, MemBlobStore, RetryPolicy};
+use tbm_blob::{BlobStore, MemBlobStore};
 use tbm_core::{InterpretationId, SessionId};
 use tbm_db::{DbError, MediaDb};
 use tbm_interp::Interpretation;
@@ -44,8 +44,7 @@ use tbm_obs::{
     attribute, chrome_trace_to_writer, merge_snapshots, AttributionReport, MetricsRegistry,
     TraceSnapshot, Tracer,
 };
-use tbm_player::DegradationPolicy;
-use tbm_time::{TimeDelta, TimePoint};
+use tbm_time::TimePoint;
 
 /// Session-id stride between shards: shard `i` allocates ids from
 /// `i * SHARD_SESSION_STRIDE`, so any session id names its owning shard by
@@ -270,16 +269,6 @@ impl<S: BlobStore> ShardedDb<S> {
     }
 }
 
-/// [`Server::check_invariants`] over `shards`, stopping at the first
-/// failure and naming its shard.
-pub(crate) fn check_shards<S: BlobStore>(shards: &[Server<S>]) -> Result<(), String> {
-    shards.iter().enumerate().try_for_each(|(i, shard)| {
-        shard
-            .check_invariants()
-            .map_err(|e| format!("shard {i}: {e}"))
-    })
-}
-
 /// Cross-shard statistics: per-shard [`ServerStats`] snapshots plus their
 /// exact merge.
 #[derive(Debug, Clone, PartialEq)]
@@ -331,10 +320,6 @@ pub struct ShardedServer<S: BlobStore = MemBlobStore> {
     tracer: Tracer,
     /// Worker threads for parallel drives (1 = always sequential).
     workers: usize,
-    /// Barrier spacing for parallel drives: when set, a `run_until` is
-    /// split into fixed simulated-time rounds of this length; when unset,
-    /// each drive is one round.
-    tick: Option<TimeDelta>,
     /// Per-shard tracers ([`ShardedServer::with_shard_tracers`]), in shard
     /// order; empty when tracing is off or shared.
     shard_tracers: Vec<Tracer>,
@@ -363,7 +348,6 @@ impl<S: BlobStore> ShardedServer<S> {
             clock: TimePoint::ZERO,
             tracer: Tracer::disabled(),
             workers: 1,
-            tick: None,
             shard_tracers: Vec::new(),
             pool_stats: Vec::new(),
         }
@@ -392,17 +376,6 @@ impl<S: BlobStore> ShardedServer<S> {
         std::mem::replace(&mut self.workers, workers.max(1))
     }
 
-    /// Builder: splits parallel drives into fixed simulated-time rounds of
-    /// `tick`, committing all shards at each barrier before any shard
-    /// enters the next round. Bounds how far shards drift apart inside one
-    /// drive; purely a scheduling knob — served elements and their timing
-    /// are identical at any tick.
-    pub fn with_tick(mut self, tick: TimeDelta) -> ShardedServer<S> {
-        assert!(tick > TimeDelta::ZERO, "barrier tick must be positive");
-        self.tick = Some(tick);
-        self
-    }
-
     /// Builder: gives every shard its own segment cache of `budget_bytes`.
     pub fn with_cache_budget(mut self, budget_bytes: u64) -> ShardedServer<S> {
         self.shards = self
@@ -413,33 +386,14 @@ impl<S: BlobStore> ShardedServer<S> {
         self
     }
 
-    /// Builder: sets every shard's per-read retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> ShardedServer<S> {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_retry(retry))
-            .collect();
-        self
-    }
-
-    /// Builder: sets every shard's per-element degradation policy.
-    pub fn with_degradation(mut self, policy: DegradationPolicy) -> ShardedServer<S> {
-        self.shards = self
-            .shards
-            .into_iter()
-            .map(|s| s.with_degradation(policy))
-            .collect();
-        self
-    }
-
     /// Builder: attaches one tracer to every shard (clones share the ring,
     /// so all shards land in one timeline; session ids disambiguate).
     ///
     /// A shared ring cannot take concurrent writers without the interleave
     /// order depending on host scheduling, so this mode pins drives to the
     /// sequential path even under [`ShardedServer::with_workers`]. For
-    /// traced *parallel* runs use [`ShardedServer::with_shard_tracers`].
+    /// traced *parallel* runs use [`ShardedServer::with_shard_tracers`];
+    /// of the two tracing modes, the one set last wins.
     pub fn with_tracer(mut self, tracer: Tracer) -> ShardedServer<S> {
         self.shards = self
             .shards
@@ -447,6 +401,7 @@ impl<S: BlobStore> ShardedServer<S> {
             .map(|s| s.with_tracer(tracer.clone()))
             .collect();
         self.tracer = tracer;
+        self.shard_tracers.clear();
         self
     }
 
@@ -523,14 +478,32 @@ impl<S: BlobStore> ShardedServer<S> {
     /// [`Server::check_invariants`] on every shard, in shard order; `Err`
     /// names the first shard that fails.
     pub fn check_invariants(&self) -> Result<(), String> {
-        check_shards(&self.shards)
+        self.shards.iter().enumerate().try_for_each(|(i, shard)| {
+            shard
+                .check_invariants()
+                .map_err(|e| format!("shard {i}: {e}"))
+        })
     }
 
-    /// The shard servers themselves, for tests that pull a lever the front
-    /// end does not forward (`force_degrade`, `shed_pending`, ...).
-    #[cfg(test)]
+    /// The shard servers themselves, for the levers the front end does not
+    /// forward: a [`crate::Fleet`] submits to the owning shard at the
+    /// request's *arrival* time, stalls and re-budgets single shards.
     pub(crate) fn shards_mut(&mut self) -> &mut [Server<S>] {
         &mut self.shards
+    }
+
+    /// The shard that owns `request`.
+    pub(crate) fn route(&self, request: &Request) -> Result<usize, ServeError> {
+        match request {
+            Request::Open { object } => Ok(self.shard_for(object)),
+            Request::Play { session }
+            | Request::Pause { session }
+            | Request::Seek { session, .. }
+            | Request::SetRate { session, .. }
+            | Request::Close { session } => self
+                .shard_of_session(*session)
+                .ok_or(ServeError::UnknownSession { session: *session }),
+        }
     }
 
     /// Routes a request to the owning shard: `Open` by name hash, session
@@ -544,28 +517,18 @@ impl<S: BlobStore> ShardedServer<S> {
             });
         }
         self.run_until(at);
-        let shard = match &request {
-            Request::Open { object } => self.shard_for(object),
-            Request::Play { session }
-            | Request::Pause { session }
-            | Request::Seek { session, .. }
-            | Request::SetRate { session, .. }
-            | Request::Close { session } => self
-                .shard_of_session(*session)
-                .ok_or(ServeError::UnknownSession { session: *session })?,
-        };
+        let shard = self.route(&request)?;
         self.shards[shard].request(at, request)
     }
 
     /// Serves every shard's queued elements due by `to`, advancing the
     /// fleet clock. Shards share no state, so neither the drive order nor
     /// the worker count changes any shard's outcome; with more than one
-    /// worker (and work actually due) the shards are driven by the
-    /// the `pool` module between deterministic tick barriers.
+    /// worker (and work actually due) the shards are driven by the `pool`
+    /// module, one round per drive.
     pub fn run_until(&mut self, to: TimePoint) {
         if self.pool_engaged() && self.shards.iter().any(|s| s.has_due(to)) {
-            let goals = self.round_goals(to, false);
-            let drive = run_rounds(&mut self.shards, &goals, self.workers);
+            let drive = run_round(&mut self.shards, RoundGoal::RunUntil(to), self.workers);
             self.absorb_pool_stats(&drive);
         } else {
             for shard in &mut self.shards {
@@ -581,8 +544,7 @@ impl<S: BlobStore> ShardedServer<S> {
     /// order, so the snapshot is byte-identical at any worker count.
     pub fn finish(&mut self) -> ShardedStats {
         if self.pool_engaged() && self.shards.iter().any(|s| s.has_queued()) {
-            let goals = self.round_goals(self.clock, true);
-            let drive = run_rounds(&mut self.shards, &goals, self.workers);
+            let drive = run_round(&mut self.shards, RoundGoal::Drain, self.workers);
             self.absorb_pool_stats(&drive);
         }
         let per_shard: Vec<ServerStats> = self.shards.iter_mut().map(|s| s.finish()).collect();
@@ -598,27 +560,6 @@ impl<S: BlobStore> ShardedServer<S> {
     /// [`ShardedServer::with_tracer`]).
     fn pool_engaged(&self) -> bool {
         self.workers > 1 && self.shards.len() > 1 && !self.tracer.is_enabled()
-    }
-
-    /// The barrier schedule of one parallel drive: fixed ticks from the
-    /// fleet clock through `to` (when a tick is configured), then the
-    /// drive goal itself.
-    fn round_goals(&self, to: TimePoint, drain: bool) -> Vec<RoundGoal> {
-        let mut goals = Vec::new();
-        if let Some(tick) = self.tick {
-            let mut at = self.clock + tick;
-            while at < to {
-                goals.push(RoundGoal::RunUntil(at));
-                at += tick;
-            }
-        }
-        if !drain || to > self.clock {
-            goals.push(RoundGoal::RunUntil(to));
-        }
-        if drain {
-            goals.push(RoundGoal::Drain);
-        }
-        goals
     }
 
     /// Folds one drive's per-worker counters into the running totals.

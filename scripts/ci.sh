@@ -84,22 +84,17 @@ echo "$out" | grep -Eq '\[load-skew\] rebalance-shards.* applied' || { echo "rem
 echo "$out" | grep -q 'remediation timeline:' || { echo "remediation smoke: report missing the remediation timeline" >&2; exit 1; }
 echo "$out" | grep -q 'zero operator input' || { echo "remediation smoke: the alert did not close on its own" >&2; exit 1; }
 
-echo "==> serving-bench smoke"
-# The Criterion serve suite in fast mode (the vendored harness runs a
-# short fixed iteration count and ignores tuning flags): cache hit/miss
-# paths, the broadcast, and the staged-storm throughput group at 1/2/4
-# workers all have to complete.
-cargo bench -q -p tbm-bench --bench serve -- --profile-time 1 > /dev/null
-
-echo "==> throughput-suite smoke"
-# exp_throughput at a storm size small enough for CI. The binary itself
-# asserts cross-worker byte-identical stats/metrics and full service;
-# the trajectory point goes to a scratch file, never the checked-in
-# BENCH_serve.json.
-TBM_THROUGHPUT_SESSIONS=256 TBM_THROUGHPUT_SHARDS=4 \
-TBM_BENCH_OUT=target/bench_serve_ci.json \
-    cargo run --release -q -p tbm-bench --bin exp_throughput > /dev/null
-[ -s target/bench_serve_ci.json ] || { echo "throughput smoke wrote no trajectory point" >&2; exit 1; }
+echo "==> knob audit"
+# A public builder or setter of the serving core that nothing outside the
+# crate sets is a constant, not an option: tests, examples, `exp_*`,
+# `tbm-query` and `perf` all count as callers.
+unset_knobs=0
+for knob in $(grep -ohE 'pub fn (with|set)_[a-z_]+' \
+    crates/serve/src/{server,shard,fleet,capacity}.rs | awk '{print $3}' | sort -u); do
+    grep -rqE "[.:]$knob\(" --include='*.rs' --exclude-dir=serve tests examples crates ||
+        { echo "knob audit: $knob has no call site outside crates/serve/src" >&2; unset_knobs=1; }
+done
+[ "$unset_knobs" = 0 ]
 
 echo "==> benchmark smoke"
 # `perf`, the repository's benchmark, is a package of its own (see its

@@ -8,6 +8,8 @@ use tbm::interp::capture;
 use tbm::media::gen::{AudioSignal, VideoPattern};
 use tbm::player::{demanded_rate, schedule_from_interp};
 use tbm::prelude::*;
+use tbm::serve::{Request, Response, Server};
+use tbm::time::TimePoint;
 
 const N: usize = 120;
 const W: u32 = 96;
@@ -269,4 +271,73 @@ fn atomic_save_and_salvage_on_disk() {
     assert!(!report.is_clean());
 
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn player_and_server_walk_one_ladder() {
+    // One scalable stream under the same seeded storm, once played by the
+    // resilient player and once served to a single session with no cache.
+    // A `FaultyBlobStore`'s faults are a pure function of (seed, blob,
+    // span, attempt) and both callers go through `fetch_layer` and
+    // `ElementFate::decide`, so every element meets the same fate.
+    let mut store = MemBlobStore::new();
+    let frames = tbm::media::gen::render_frames(VideoPattern::MovingBar, 0, 40, W, H);
+    let (blob, interp) =
+        capture::capture_video_scalable(&mut store, &frames, TimeSystem::PAL, DctParams::default())
+            .unwrap();
+    let v = interp.stream("video1").unwrap();
+    let (mut recovered, mut degraded, mut dropped) = (0, 0, 0);
+    for seed in 0..40 {
+        let plan = FaultPlan::new(seed)
+            .with_transient(0.2)
+            .with_corruption(0.1)
+            .with_truncation(0.05);
+        let played = resilient_player(v).play(&FaultyBlobStore::new(store.clone(), plan), blob, v);
+
+        let mut db = MediaDb::with_store(FaultyBlobStore::new(store.clone(), plan));
+        db.register_interpretation(interp.clone()).unwrap();
+        let mut server = Server::new(db, Capacity::new(1 << 40));
+        let Response::Opened {
+            session: Some(session),
+            ..
+        } = server
+            .request(
+                TimePoint::ZERO,
+                Request::Open {
+                    object: "video1".into(),
+                },
+            )
+            .unwrap()
+        else {
+            panic!("the one session must be admitted");
+        };
+        server
+            .request(TimePoint::ZERO, Request::Play { session })
+            .unwrap();
+        let served = server.finish();
+        server.check_invariants().unwrap();
+
+        assert_eq!(
+            (
+                served.recovered,
+                served.degraded_elements,
+                served.dropped_elements,
+                served.faults_detected
+            ),
+            (
+                played.stats.recovered,
+                played.stats.degraded,
+                played.stats.dropped,
+                played.faults_detected
+            ),
+            "player and server disagree under seed {seed}"
+        );
+        recovered += played.stats.recovered;
+        degraded += played.stats.degraded;
+        dropped += played.stats.dropped;
+    }
+    assert!(
+        recovered > 0 && degraded > 0 && dropped > 0,
+        "the storms must reach every rung: {recovered} recovered, {degraded} degraded, {dropped} dropped"
+    );
 }

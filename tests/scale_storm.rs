@@ -2,8 +2,8 @@
 //! cache-aware admission, end to end.
 //!
 //! * Same seed, same requests ⇒ byte-identical stats, rendered metrics and
-//!   exported traces at ANY worker count (1, 2, 4, 8, with and without a
-//!   barrier tick) — the contract DESIGN §16 spells out.
+//!   exported traces at ANY worker count (1, 2, 4, 8) — the contract
+//!   DESIGN §16 spells out.
 //! * Cache-aware admission: an object resident in the segment cache admits
 //!   sessions its cold twin would bounce, the decode stage still gates at
 //!   full demand, and evictions re-charge admitted sessions.
@@ -12,7 +12,7 @@ use tbm::codec::dct::DctParams;
 use tbm::interp::capture::capture_video_scalable;
 use tbm::interp::Interpretation;
 use tbm::media::gen::{render_frames, VideoPattern};
-use tbm::obs::DEFAULT_TRACE_CAPACITY;
+use tbm::obs::{Tracer, DEFAULT_TRACE_CAPACITY, ELEMENT_SPAN};
 use tbm::prelude::*;
 use tbm::serve::{AdmitDecision, Request, Response, Server, ShardedStats};
 use tbm::time::{TimeDelta, TimePoint, TimeSystem};
@@ -77,8 +77,8 @@ struct Surface {
 }
 
 /// A 12-session staggered storm over 4 faulty shards, per-shard tracers
-/// on, driven at `workers` workers (with an optional barrier tick).
-fn traced_storm(workers: usize, tick_ms: Option<i64>) -> Surface {
+/// on, driven at `workers` workers.
+fn traced_storm(workers: usize) -> Surface {
     let seed = 0xBEEF;
     let shards = 4;
     let names: Vec<String> = (0..6).map(|i| format!("movie{i}")).collect();
@@ -87,9 +87,6 @@ fn traced_storm(workers: usize, tick_ms: Option<i64>) -> Surface {
         .with_cache_budget(16 << 20)
         .with_shard_tracers(DEFAULT_TRACE_CAPACITY)
         .with_workers(workers);
-    if let Some(ms) = tick_ms {
-        server = server.with_tick(TimeDelta::from_millis(ms));
-    }
     for i in 0..12usize {
         let at = t(i as i64 * 150);
         let object = names[i % names.len()].clone();
@@ -116,30 +113,74 @@ fn traced_storm(workers: usize, tick_ms: Option<i64>) -> Surface {
 
 #[test]
 fn storm_is_byte_identical_at_any_worker_count() {
-    let base = traced_storm(1, None);
+    let base = traced_storm(1);
     assert!(base.stats.global.elements_served > 0);
     assert!(base.records > 0, "per-shard tracers must have recorded");
     for workers in [2usize, 4, 8] {
-        let run = traced_storm(workers, None);
+        let run = traced_storm(workers);
         assert!(
             base == run,
             "stats/metrics/trace diverged at {workers} workers"
         );
     }
-    // The barrier tick is purely a scheduling knob: same bytes out.
-    for (workers, tick) in [(1usize, 100i64), (4, 100), (4, 37)] {
-        let run = traced_storm(workers, Some(tick));
-        assert!(
-            base == run,
-            "stats/metrics/trace diverged at {workers} workers, {tick} ms tick"
+}
+
+#[test]
+fn tracing_mode_set_last_wins() {
+    // `with_shard_tracers` then `with_tracer` used to leave `trace()`
+    // merging the abandoned per-shard rings while the records went to the
+    // shared one. In either order the mode set last is the one in force.
+    for shared_last in [true, false] {
+        let names: Vec<String> = (0..6).map(|i| format!("movie{i}")).collect();
+        let server = ShardedServer::new(
+            sharded_faulty_db(&names, 4, 0xBEEF),
+            Capacity::new(100_000_000),
+        );
+        let shared = Tracer::new();
+        let mut server = if shared_last {
+            server
+                .with_shard_tracers(DEFAULT_TRACE_CAPACITY)
+                .with_tracer(shared.clone())
+        } else {
+            server
+                .with_tracer(shared.clone())
+                .with_shard_tracers(DEFAULT_TRACE_CAPACITY)
+        };
+        for object in names {
+            if let Response::Opened {
+                session: Some(id), ..
+            } = server.request(t(0), Request::Open { object }).unwrap()
+            {
+                server.request(t(0), Request::Play { session: id }).unwrap();
+            }
+        }
+        let stats = server.finish();
+        let element_spans = |records: &[tbm::obs::TraceRecord]| {
+            records.iter().filter(|r| r.name == ELEMENT_SPAN).count()
+        };
+        assert!(stats.global.elements_served > 0);
+        assert_eq!(
+            element_spans(&server.trace().records),
+            stats.global.elements_served,
+            "trace() must return the storm's records (shared last: {shared_last})"
+        );
+        assert_eq!(server.shard_tracers().is_empty(), shared_last);
+        assert_eq!(
+            element_spans(&shared.snapshot().records),
+            if shared_last {
+                stats.global.elements_served
+            } else {
+                0
+            },
+            "the shared ring is written exactly when it was set last"
         );
     }
 }
 
 #[test]
 fn staged_drain_matches_sequential() {
-    // The throughput suite's shape: stage every session at one worker,
-    // raise the count mid-run, drain. Served elements must not notice.
+    // Stage every session at one worker, raise the count mid-run, drain.
+    // Served elements must not notice.
     let storm = |workers: usize| {
         let seed = 0x7EE0;
         let shards = 4;
@@ -355,10 +396,8 @@ fn cache_aware_flag_off_is_inert() {
 fn batched_loop_counts_batches_and_spans_them_on_request() {
     // Sessions anchored at the same instant share element deadlines, so
     // the loop serves them in same-deadline batches; the counter is part
-    // of the deterministic surface, the spans are opt-in.
-    let mut server = Server::new(movie_db(), Capacity::new(1 << 40))
-        .with_batch_spans()
-        .with_tracer(tbm::obs::Tracer::new());
+    // of the deterministic surface.
+    let mut server = Server::new(movie_db(), Capacity::new(1 << 40));
     for _ in 0..4 {
         let (id, decision) = open(&mut server, t(0));
         assert_eq!(decision, AdmitDecision::Admitted);
@@ -377,11 +416,4 @@ fn batched_loop_counts_batches_and_spans_them_on_request() {
         server.metrics().counter("serve.batches") > 0,
         "same-deadline serves must be counted as batches"
     );
-    let batches = server
-        .trace()
-        .records
-        .iter()
-        .filter(|r| r.name == "batch")
-        .count();
-    assert!(batches > 0, "with_batch_spans must record sched spans");
 }
