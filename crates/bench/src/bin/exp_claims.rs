@@ -15,65 +15,52 @@
 //!   reads, latency spikes): every fault detected by checksum or
 //!   retry-exhaustion, recovery accounted as recovered/degraded/dropped,
 //!   and the whole run reproducible from the seed.
-//! * **§serve (delivery)** — the serving layer under a broadcast load: a
-//!   shared segment cache collapses the storage reads of overlapping
-//!   sessions on one hot object, and admission control keeps the
-//!   deadline-miss rate bounded where an uncontrolled sweep degrades.
-//! * **§obs (observability)** — the same pipeline run fully traced: every
-//!   deadline miss attributed to exactly one cause (admission over-commit,
-//!   retry storm, storage latency or decode overrun), the metrics registry
-//!   rendered, and the Chrome-trace export shown byte-identical across two
-//!   same-seed runs.
-//! * **§tiers (tiered storage)** — a scripted remote blackout served
-//!   through the mem/file/remote stack: the tiered store keeps the drop
-//!   rate at zero and p99 lateness bounded while a no-failover baseline
-//!   drops elements; deadline-pressed hedged reads self-heal a tripped
-//!   tier early and bound p99 where waiting out the breaker cooldown at
-//!   brownout latency does not; misses attributed incl. tier-failover.
-//! * **§shards (sharded catalogs)** — the catalog partitioned behind the
-//!   shard-aware front end: per-object playback timing bit-identical at 1
-//!   and 4 shards (routing is invisible to an uncontended object), a
-//!   24-session storm admitted at multiples of the single catalog's rate
-//!   once each shard brings its own budget, the fault invariant surviving
-//!   the per-shard → global rollup, and same-seed sharded runs identical.
-//! * **§fleet (multi-node resilience)** — the sharded catalog hosted on a
-//!   simulated four-node fleet with a scripted node kill under a
-//!   24-session storm: live shard migration with catalog handoff keeps
-//!   every verified serve (zero drops) where a no-migration baseline
-//!   sheds in-flight elements; the handoff stall is attributed to the
-//!   node-loss miss cause; and the whole kill-restart-restore cycle
-//!   replays byte-identically from the seed.
-//! * **§query (telemetry plane)** — the fleet broadcast sampled every
-//!   50 ms into model-compressed series at a 1% error bound: ≥10× smaller
-//!   than the raw per-tick series, model-native aggregates within the
-//!   bound of the exact aggregates (measured against a same-seed lossless
-//!   run), and the brownout question — p99 lateness for degraded sessions
-//!   on the browned-out node during the brownout window — answered in one
-//!   typed query whose rendered table replays byte-identically.
-//! * **§health (SLO plane)** — every built-in SLO rule armed over three
-//!   scripted storms: the node kill fires exactly the fast-window
-//!   lateness alert, the brownout exactly the slow-window load-skew
-//!   alert, the clean run none at all; each alert opens exactly once (no
-//!   flapping) and closes by hysteresis; and same-seed reruns render
-//!   byte-identical incident reports.
-//! * **§remediate (closed loop)** — the same kill and brownout storms
-//!   with the remediation plane on vs off: the playbook's guarded derate
-//!   cuts the kill storm's p99 lateness and its alert-open ticks, the
-//!   rebalance closes the brownout's skew alert sooner than waiting out
-//!   the fault, nothing is rolled back or frozen on the happy path, and
-//!   the same-seed rerun replays a byte-identical action log.
+//!
+//! From §serve on, every storm is a `tbm_bench::scenario` value — the same
+//! ones `tests/*_storm.rs` assert on and `examples/broadcast.rs` prints —
+//! and each section states its claims as `assert!(…, "claim: …")`:
+//!
+//! * **§serve** (`Hot`) — the shared segment cache collapses the storage
+//!   reads of overlapping sessions; admission control bounds the miss rate
+//!   an uncontrolled sweep degrades.
+//! * **§obs** (`Hot`, faulty store) — every deadline miss attributed to
+//!   exactly one cause, the metrics registry rendered, the Chrome trace
+//!   byte-identical across two same-seed runs.
+//! * **§tiers** (`TierBlackout`) — zero drops through a remote blackout
+//!   where a no-failover baseline drops; hedged reads bound p99 where
+//!   waiting out the breaker cooldown does not.
+//! * **§shards** (`Shards`) — per-object timing bit-identical at 1 and 4
+//!   shards; a 24-session storm admitted at multiples of one catalog's
+//!   rate; the fault invariant survives the rollup.
+//! * **§fleet** (`FleetKill`) — live migration keeps every verified serve
+//!   across a node kill where the baseline sheds; the stall is attributed
+//!   to node-loss; the cycle replays from the seed.
+//! * **§query** (`Telemetry`) — ≥10× model compression at a 1% bound,
+//!   aggregates within the bound of a lossless run, the brownout question
+//!   in one typed query.
+//! * **§health**, **§remediate** (`SloStorm`) — each fault fires exactly
+//!   its predicted alert, once; the playbook shortens both incidents,
+//!   rolls nothing back, and replays a byte-identical action log.
+//! * **§ablations** — DESIGN §5's design choices nothing else times:
+//!   index stride vs search vs scan, placement table vs chunked index,
+//!   lazy pull vs materialise, interleaved vs separated A/V layout.
 //!
 //! ```text
 //! cargo run --release -p tbm-bench --bin exp_claims
 //! ```
 
 #![allow(clippy::format_in_format_args)] // computed cells padded by the outer format
+use tbm_bench::scenario::{
+    brownout_plan, capture_movie, kill_plan, t, FleetKill, Hot, Shards, SloStorm, Telemetry,
+    TierBlackout, BROWNOUT_MS,
+};
 use tbm_bench::{captured_av, cd_tone, fmt_bytes, fmt_rate, video_frames};
 use tbm_blob::{BlobStore, FaultPlan, FaultyBlobStore, MemBlobStore};
 use tbm_codec::dct::DctParams;
 use tbm_db::MediaDb;
 use tbm_derive::{EditCut, Expander, MediaValue, Node, Op, VideoClip};
 use tbm_interp::capture;
+use tbm_media::gen::VideoPattern;
 use tbm_player::{schedule_from_interp, sync_skew, CostModel, PlaybackSim};
 use tbm_time::{Rational, TimeSystem};
 
@@ -90,6 +77,7 @@ fn main() {
     query_telemetry();
     health_plane();
     remediation_plane();
+    ablations();
 }
 
 // ---------------------------------------------------------------------------
@@ -268,13 +256,7 @@ fn e8_structured_queries() {
     // Q3: fidelity selection needs layered placement — metadata a BLOB
     // simply does not have.
     let mut s2 = MemBlobStore::new();
-    let (b2, interp2) = capture::capture_video_scalable(
-        &mut s2,
-        &video_frames(25, 160, 120),
-        TimeSystem::PAL,
-        DctParams::default(),
-    )
-    .unwrap();
+    let (b2, interp2) = capture_movie(&mut s2, (25, 160, 120));
     let sc = interp2.stream("video1").unwrap();
     let base = sc.read_element_layers(&s2, b2, 10, 1).unwrap();
     let full = sc.read_element(&s2, b2, 10).unwrap();
@@ -330,14 +312,7 @@ fn e10_playback_and_scalability() {
     // Scalable rescue: at 40 % of full-stream demand, full-fidelity
     // playback fails but base-layer playback fits.
     println!("\nscalable degradation (layered capture, video only):");
-    let mut s = MemBlobStore::new();
-    let (_, interp) = capture::capture_video_scalable(
-        &mut s,
-        &video_frames(125, 320, 240),
-        TimeSystem::PAL,
-        DctParams::default(),
-    )
-    .unwrap();
+    let (_, interp) = capture_movie(&mut MemBlobStore::new(), (125, 320, 240));
     let sc = interp.stream("video1").unwrap();
     let full = schedule_from_interp(sc, None);
     let base = schedule_from_interp(sc, Some(1));
@@ -410,7 +385,7 @@ fn e10_playback_and_scalability() {
     let intra = capture::capture_av_interleaved(
         &mut s_intra,
         &frames_small,
-        &tbm_bench::cd_tone(50 * 1764),
+        &cd_tone(50 * 1764),
         1764,
         TimeSystem::PAL,
         DctParams::default(),
@@ -487,7 +462,6 @@ fn e10_playback_and_scalability() {
             bottleneck
         );
     }
-    let _ = cd_tone(1); // keep helper linked for parity across experiments
 }
 
 // ---------------------------------------------------------------------------
@@ -580,13 +554,7 @@ fn faults_and_degradation() {
     // what would be repeats/drops into reduced-fidelity presentation.
     println!("\ndegradation policies under the same storm (scalable capture):");
     let mut s = MemBlobStore::new();
-    let (blob2, interp2) = capture::capture_video_scalable(
-        &mut s,
-        &video_frames(125, 160, 120),
-        TimeSystem::PAL,
-        DctParams::default(),
-    )
-    .unwrap();
+    let (blob2, interp2) = capture_movie(&mut s, (125, 160, 120));
     let sc = interp2.stream("video1").unwrap();
     println!(
         "{:<14}{:>10}{:>12}{:>9}{:>9}",
@@ -620,55 +588,22 @@ fn faults_and_degradation() {
 // ---------------------------------------------------------------------------
 
 fn serve_delivery() {
-    use tbm_serve::{Capacity, Request, Response, Server};
-    use tbm_time::{TimeDelta, TimePoint};
+    use tbm_serve::Capacity;
 
     println!("§serve — multi-session delivery: shared cache and admission control\n");
 
-    // One hot scalable movie everybody wants.
-    let mut store = MemBlobStore::new();
-    let (_blob, interp) = capture::capture_video_scalable(
-        &mut store,
-        &video_frames(50, 160, 120),
-        TimeSystem::PAL,
-        DctParams::default(),
-    )
-    .unwrap();
-    let probe_db = {
-        let mut db = MediaDb::with_store(store.clone());
-        db.register_interpretation(interp.clone()).unwrap();
-        db
-    };
-    let (_, stream) = probe_db.stream_of("video1").unwrap();
-    let full_bps = tbm_player::demanded_rate(&schedule_from_interp(stream, None), TimeSystem::PAL)
-        .unwrap()
-        .ceil() as u64;
-
-    // A broadcast of `n` staggered sessions against a fresh server.
-    let broadcast = |n: usize, capacity: Capacity, cache_budget: u64| {
-        let mut db = MediaDb::with_store(store.clone());
-        db.register_interpretation(interp.clone()).unwrap();
-        let mut server = Server::new(db, capacity);
-        if cache_budget > 0 {
-            server = server.with_cache_budget(cache_budget);
-        }
-        for i in 0..n {
-            let at = TimePoint::ZERO + TimeDelta::from_millis(i as i64 * 200);
-            if let Response::Opened {
-                session: Some(id), ..
-            } = server
-                .request(
-                    at,
-                    Request::Open {
-                        object: "video1".into(),
-                    },
-                )
-                .unwrap()
-            {
-                server.request(at, Request::Play { session: id }).unwrap();
-            }
-        }
-        server.finish()
+    // A broadcast of `n` viewers, 200 ms apart, of one hot scalable movie
+    // everybody wants, against a fresh server.
+    let broadcast = |n: usize, capacity: fn(u64) -> Capacity, cache_budget: u64| {
+        let clip = (50, 160, 120);
+        let hot = Hot {
+            clip,
+            wave: (n, 200),
+            capacity,
+            cache_budget,
+            faults: None,
+        };
+        hot.run().0.stats()
     };
 
     // Claim 1: the shared cache collapses the storage reads of overlapping
@@ -680,7 +615,7 @@ fn serve_delivery() {
         "sessions", "reads (off)", "reads (on)", "saved", "hit ratio"
     );
     println!("{}", "-".repeat(64));
-    let roomy = Capacity::new(full_bps * 3).admit_all();
+    let roomy = |full| Capacity::new(full * 3).admit_all();
     for &n in &[1usize, 2, 4, 8, 12, 16] {
         let off = broadcast(n, roomy, 0);
         let on = broadcast(n, roomy, 64 << 20);
@@ -713,10 +648,9 @@ fn serve_delivery() {
         "sessions", "miss rate", "p99 late", "adm/deg/rej", "miss", "p99"
     );
     println!("{}", "-".repeat(66));
-    let tight = Capacity::new(full_bps * 2 + full_bps / 2);
     for &n in &[2usize, 4, 8, 16] {
-        let all = broadcast(n, tight.admit_all(), 0);
-        let gated = broadcast(n, tight, 0);
+        let all = broadcast(n, |full| Capacity::new(full * 5 / 2).admit_all(), 0);
+        let gated = broadcast(n, |full| Capacity::new(full * 5 / 2), 0);
         println!(
             "{n:>10}{:>13.1}%{:>9.1} ms{:>14}{:>7.1}%{:>5.1} ms",
             all.miss_rate() * 100.0,
@@ -750,82 +684,36 @@ fn serve_delivery() {
 // ---------------------------------------------------------------------------
 
 fn obs_attribution() {
-    use tbm_obs::{chrome_trace, Tracer};
-    use tbm_serve::{Capacity, Request, Response, Server, ServerStats};
-    use tbm_time::{TimeDelta, TimePoint};
+    use tbm_obs::chrome_trace;
+    use tbm_serve::Capacity;
 
     println!("§obs — tracing the pipeline: deadline-miss attribution\n");
 
     // The storm under observation: one hot scalable movie, a seeded fault
     // plan on the store, admission disabled so the channel oversubscribes —
-    // all four miss causes have a chance to occur.
-    let run = |seed: u64| -> (Tracer, ServerStats) {
-        let mut store = MemBlobStore::new();
-        let (_blob, interp) = capture::capture_video_scalable(
-            &mut store,
-            &video_frames(40, 160, 120),
-            TimeSystem::PAL,
-            DctParams::default(),
-        )
-        .unwrap();
-        let full_bps = {
-            let mut probe = MediaDb::with_store(store.clone());
-            probe.register_interpretation(interp.clone()).unwrap();
-            let (_, stream) = probe.stream_of("video1").unwrap();
-            tbm_player::demanded_rate(&schedule_from_interp(stream, None), TimeSystem::PAL)
-                .unwrap()
-                .ceil() as u64
-        };
-
-        let tracer = Tracer::new();
+    // all four miss causes have a chance to occur. Store and server share
+    // one tracer: injected faults and served elements land in one timeline.
+    let run = |seed: u64| {
         let plan = FaultPlan::new(seed)
             .with_transient(0.25)
             .with_corruption(0.06)
             .with_latency(0.1, 500);
-        // The same tracer clone on the store and the server: injected
-        // faults and served elements land in one timeline.
-        let faulty = FaultyBlobStore::new(store, plan).with_tracer(tracer.clone());
-        let mut db = MediaDb::with_store(faulty);
-        db.register_interpretation(interp).unwrap();
-        let mut server = Server::new(db, Capacity::new(full_bps + full_bps / 3).admit_all())
-            .with_cache_budget(16 << 20)
-            .with_tracer(tracer.clone());
-        for n in 0..5i64 {
-            let at = TimePoint::ZERO + TimeDelta::from_millis(n * 100);
-            if let Response::Opened {
-                session: Some(id), ..
-            } = server
-                .request(
-                    at,
-                    Request::Open {
-                        object: "video1".into(),
-                    },
-                )
-                .unwrap()
-            {
-                server.request(at, Request::Play { session: id }).unwrap();
-            }
-        }
-        let stats = server.finish();
-        let report = server.attribution();
+        let hot = Hot {
+            clip: (40, 160, 120),
+            wave: (5, 100),
+            capacity: |full| Capacity::new(full + full / 3).admit_all(),
+            cache_budget: 16 << 20,
+            faults: Some(plan),
+        };
+        let (server, _) = hot.run();
         // Hard claim: attribution partitions the misses — every deadline
         // miss is assigned exactly one cause.
-        assert_eq!(
-            report.total(),
-            stats.deadline_misses,
-            "claim: every deadline miss must appear in the attribution report"
-        );
-        let by_cause: usize = report.by_cause().iter().map(|&(_, n)| n).sum();
-        assert_eq!(
-            by_cause,
-            report.total(),
-            "claim: miss causes must partition the misses"
-        );
-        (tracer, stats)
+        assert_partition("", &server.attribution(), server.stats().deadline_misses);
+        server
     };
 
-    let (tracer, stats) = run(0x0B5);
-    let report = tbm_obs::attribute(&tracer.snapshot().records);
+    let server = run(0x0B5);
+    let (stats, report) = (server.stats(), server.attribution());
     println!("storm: 5 sessions over a channel sized ~1.3x one stream, seeded faults, cache on");
     println!(
         "served {} elements, {} misses ({:.1}%), {} recovered / {} degraded / {} dropped\n",
@@ -839,22 +727,23 @@ fn obs_attribution() {
     println!("{}", report.render());
 
     // Determinism claim: same seed, byte-identical Chrome trace.
-    let (tracer2, stats2) = run(0x0B5);
+    let rerun = run(0x0B5);
+    let stats2 = rerun.stats();
     assert_eq!(stats, stats2, "claim: same-seed runs must be identical");
-    let ja = chrome_trace(&tracer.snapshot());
-    let jb = chrome_trace(&tracer2.snapshot());
+    let ja = chrome_trace(&server.trace());
+    let jb = chrome_trace(&rerun.trace());
     assert_eq!(
         ja, jb,
         "claim: same-seed runs must export byte-identical traces"
     );
     println!(
         "\nchrome trace: {} events, {} bytes — byte-identical across two same-seed runs",
-        tracer.snapshot().records.len(),
+        server.trace().records.len(),
         ja.len()
     );
 
     println!("\nmetrics registry:");
-    println!("{}", indent_block(&run_metrics_render(&tracer, &stats)));
+    println!("{}", indent_block(&server.metrics().render()));
     println!();
 }
 
@@ -865,58 +754,27 @@ fn obs_attribution() {
 fn tiers_failover() {
     use tbm_blob::{TierConfig, TieredBlobStore};
     use tbm_obs::{MissCause, Tracer};
-    use tbm_serve::{Capacity, Request, Response, Server, ServerStats};
-    use tbm_time::{TimeDelta, TimePoint};
+    use tbm_serve::{Server, ServerStats};
 
     println!("§tiers — tiered storage: failover, circuit breakers, hedged reads\n");
 
-    let t = |ms: i64| TimePoint::ZERO + TimeDelta::from_millis(ms);
-    let frames = video_frames(50, 160, 120);
-
     // Captures the movie through `store` (write-through populates every
-    // tier) and serves `sessions` staggered viewers, cache off so every
-    // read exercises the tier stack.
-    let run = |mut store: TieredBlobStore,
-               sessions: i64,
-               tracer: Option<Tracer>|
+    // tier) and serves `sessions` viewers 100 ms apart at one stream of
+    // headroom, cache off so every read exercises the tier stack.
+    let run = |store: TieredBlobStore,
+               sessions: usize,
+               tracer: Tracer|
      -> (ServerStats, Server<TieredBlobStore>) {
-        let (_b, interp) = capture::capture_video_scalable(
-            &mut store,
-            &frames,
-            TimeSystem::PAL,
-            DctParams::default(),
-        )
-        .unwrap();
-        let mut db = MediaDb::with_store(store);
-        db.register_interpretation(interp).unwrap();
-        let full_bps = {
-            let (_, stream) = db.stream_of("video1").unwrap();
-            tbm_player::demanded_rate(&schedule_from_interp(stream, None), TimeSystem::PAL)
-                .unwrap()
-                .ceil() as u64
-        };
-        let mut server = Server::new(db, Capacity::new(full_bps * (sessions as u64 + 1)));
-        if let Some(tr) = tracer {
-            server = server.with_tracer(tr);
+        let (clip, wave, headroom) = ((50, 160, 120), (sessions, 100), sessions as u64 + 1);
+        let server = TierBlackout {
+            store,
+            clip,
+            wave,
+            headroom,
+            tracer,
         }
-        for i in 0..sessions {
-            let at = t(i * 100);
-            if let Response::Opened {
-                session: Some(id), ..
-            } = server
-                .request(
-                    at,
-                    Request::Open {
-                        object: "video1".into(),
-                    },
-                )
-                .unwrap()
-            {
-                server.request(at, Request::Play { session: id }).unwrap();
-            }
-        }
-        let stats = server.finish();
-        (stats, server)
+        .run();
+        (server.stats(), server)
     };
 
     // Claim 1: a scripted remote blackout over [0, 800ms) — the window
@@ -939,7 +797,7 @@ fn tiers_failover() {
                 )
                 .with_outage(0, t(0), t(800))
         };
-        run(store, 3, None)
+        run(store, 3, Tracer::disabled())
     };
     println!("remote blackout [0, 800ms), 3 viewers (mem/file/remote vs remote-only):");
     println!(
@@ -988,7 +846,7 @@ fn tiers_failover() {
             .with_outage(0, t(0), t(10))
             .with_brownout(1, t(0), t(5_000), 40_000)
             .with_tracer(tracer.clone());
-        run(store, 1, Some(tracer))
+        run(store, 1, tracer)
     };
     let (hedged, hedged_server) = hedged_arm(true);
     let (waited, waited_server) = hedged_arm(false);
@@ -1029,18 +887,7 @@ fn tiers_failover() {
         ("hedge", &hedged, &hedged_server),
         ("wait", &waited, &waited_server),
     ] {
-        let report = server.attribution();
-        assert_eq!(
-            report.total(),
-            stats.deadline_misses,
-            "claim ({name}): every deadline miss must appear in the attribution report"
-        );
-        let by_cause: usize = report.by_cause().iter().map(|&(_, n)| n).sum();
-        assert_eq!(
-            by_cause,
-            report.total(),
-            "claim ({name}): miss causes must partition the misses"
-        );
+        assert_partition(name, &server.attribution(), stats.deadline_misses);
     }
     let waited_report = waited_server.attribution();
     assert!(
@@ -1069,80 +916,29 @@ fn tiers_failover() {
 // ---------------------------------------------------------------------------
 
 fn shards_scaling() {
-    use tbm_interp::Interpretation;
-    use tbm_serve::{
-        Capacity, Request, Response, ServerStats, SessionStats, ShardedDb, ShardedServer,
-    };
-    use tbm_time::{TimeDelta, TimePoint};
+    use tbm_serve::{Capacity, ServerStats, SessionStats};
 
     println!("§shards — sharded catalogs: per-object timing identity and admission scale-out\n");
 
-    let names: Vec<String> = (0..8).map(|i| format!("movie{i}")).collect();
-    let t = |ms: i64| TimePoint::ZERO + TimeDelta::from_millis(ms);
-
-    // Each movie is captured into the shard that owns its name, so the
-    // same seed builds byte-identical per-object catalogs at every shard
-    // count (only the grouping changes).
-    let catalog = |shards: usize, seed: u64| -> ShardedDb {
-        let mut db = ShardedDb::new(shards, seed);
-        for name in &names {
-            let store = db.store_for_mut(name);
-            let (blob, interp) = capture::capture_video_scalable(
-                store,
-                &video_frames(40, 96, 64),
-                TimeSystem::PAL,
-                DctParams::default(),
-            )
-            .unwrap();
-            // The capture helper names streams "video1"; re-hang the
-            // stream under the movie's routing name.
-            let stream = interp.stream("video1").unwrap().clone();
-            let mut renamed = Interpretation::new(blob);
-            renamed.add_stream(name, stream).unwrap();
-            db.register_interpretation(renamed).unwrap();
-        }
-        db
-    };
-
-    let full_bps = {
-        let probe = catalog(1, 0);
-        let (_, stream) = probe.shard(0).stream_of("movie0").unwrap();
-        tbm_player::demanded_rate(&schedule_from_interp(stream, None), TimeSystem::PAL)
-            .unwrap()
-            .ceil() as u64
-    };
-
     // Claim 1: routing is invisible to an uncontended object. Sequential,
-    // non-overlapping sessions (one per movie) see an idle channel in both
-    // arms, so every element's service and lateness must come out the same
-    // whether the catalog is one shard or four.
+    // non-overlapping sessions (one per movie, 4 s apart) see an idle
+    // channel in both arms, so every element's service and lateness must
+    // come out the same whether the catalog is one shard or four.
     let timing_run = |shards: usize| -> (Vec<(String, SessionStats)>, ServerStats) {
-        let mut server = ShardedServer::new(catalog(shards, 17), Capacity::new(full_bps * 2))
-            .with_cache_budget(32 << 20);
-        for (i, name) in names.iter().enumerate() {
-            let at = t(i as i64 * 4_000);
-            let Response::Opened {
-                session: Some(id), ..
-            } = server
-                .request(
-                    at,
-                    Request::Open {
-                        object: name.clone(),
-                    },
-                )
-                .unwrap()
-            else {
-                panic!("sequential sessions must all admit");
-            };
-            server.request(at, Request::Play { session: id }).unwrap();
-        }
-        let stats = server.finish();
+        let mut sequential = Shards::DEMO;
+        (sequential.shards, sequential.wave) = (shards, (8, 4_000));
+        sequential.capacity = |full| Capacity::new(full * 2);
+        let (server, arrivals) = sequential.run();
+        assert!(
+            arrivals.iter().all(|a| a.session.is_some()),
+            "sequential sessions must all admit"
+        );
         let mut per_object: Vec<(String, SessionStats)> = server
             .sessions()
             .map(|s| (s.object().to_owned(), s.stats()))
             .collect();
         per_object.sort_by(|a, b| a.0.cmp(&b.0));
-        (per_object, stats.global)
+        (per_object, server.stats().global)
     };
     let (objects_1, global_1) = timing_run(1);
     let (objects_4, global_4) = timing_run(4);
@@ -1180,21 +976,10 @@ fn shards_scaling() {
     // the 8 movies; every shard has the *same* per-shard budget (~2.5 full
     // streams) — the single catalog is that budget total, the 4-shard
     // fleet is 4x it, exactly the multi-node proposition.
-    let per_shard = Capacity::new(full_bps * 5 / 2).with_overhead_us(100);
-    let storm = |shards: usize, seed: u64| {
-        let mut server =
-            ShardedServer::new(catalog(shards, seed), per_shard).with_cache_budget(32 << 20);
-        for i in 0..24usize {
-            let at = t(i as i64 * 100);
-            let name = names[i % names.len()].clone();
-            if let Response::Opened {
-                session: Some(id), ..
-            } = server.request(at, Request::Open { object: name }).unwrap()
-            {
-                server.request(at, Request::Play { session: id }).unwrap();
-            }
-        }
-        let stats = server.finish();
+    let storm = |shards: usize| {
+        let mut storm = Shards::DEMO;
+        (storm.shards, storm.wave) = (shards, (24, 100));
+        let stats = storm.run().0.stats();
         let skew = stats.skew_percent();
         (stats, skew)
     };
@@ -1206,7 +991,7 @@ fn shards_scaling() {
     println!("{}", "-".repeat(68));
     let mut admitted_at = std::collections::BTreeMap::new();
     for &n in &[1usize, 2, 4, 8] {
-        let (stats, skew) = storm(n, 17);
+        let (stats, skew) = storm(n);
         let g = &stats.global;
         println!(
             "{n:>8}{:>16}{:>9.1}%{:>9.1} ms{:>11.1}%{:>9}%",
@@ -1234,8 +1019,8 @@ fn shards_scaling() {
 
     // Determinism: a sharded run is still a pure function of its trace and
     // seed — stats and the rendered metrics rollup are byte-identical.
-    let (again, _) = storm(4, 17);
-    let (first, _) = storm(4, 17);
+    let (again, _) = storm(4);
+    let (first, _) = storm(4);
     assert_eq!(
         first, again,
         "claim: same-seed sharded runs must be identical"
@@ -1251,67 +1036,20 @@ fn shards_scaling() {
 }
 
 fn fleet_resilience() {
-    use tbm_interp::Interpretation;
-    use tbm_obs::{attribute, MissCause, Tracer};
-    use tbm_serve::{Capacity, Fleet, FleetStats, NodeFaultPlan, Request, Response, ShardedDb};
-    use tbm_time::{TimeDelta, TimePoint};
+    use tbm_obs::MissCause;
 
     println!("§fleet — multi-node resilience: node kill under a live session storm\n");
 
-    let names: Vec<String> = (0..8).map(|i| format!("movie{i}")).collect();
-    let t = |ms: i64| TimePoint::ZERO + TimeDelta::from_millis(ms);
-    let seed = 0xF1EE7u64;
-    let catalog = || -> ShardedDb {
-        let mut db = ShardedDb::new(8, seed);
-        for name in &names {
-            let store = db.store_for_mut(name);
-            let (blob, interp) = capture::capture_video_scalable(
-                store,
-                &video_frames(20, 48, 32),
-                TimeSystem::PAL,
-                DctParams::default(),
-            )
-            .unwrap();
-            let stream = interp.stream("video1").unwrap().clone();
-            let mut renamed = Interpretation::new(blob);
-            renamed.add_stream(name, stream).unwrap();
-            db.register_interpretation(renamed).unwrap();
-        }
-        db
-    };
-
     // Eight shards round-robin on four nodes; node 1 (shards 1 and 5) is
-    // killed at 1.5 s — mid-storm — and restarts with salvage at 6 s.
-    let storm = |migration: bool, tracer: Option<Tracer>| -> FleetStats {
-        let mut fleet = Fleet::new(catalog(), 4, Capacity::new(400_000_000).admit_all())
-            .with_cache_budget(16 << 20)
-            .with_migration(migration)
-            .with_fault_plan(
-                1,
-                NodeFaultPlan::new().with_crash_restart(t(1_500), t(6_000)),
-            );
-        if let Some(tr) = tracer {
-            fleet = fleet.with_tracer(tr);
-        }
-        for i in 0..24usize {
-            let at = t(i as i64 * 150);
-            let name = names[i % names.len()].clone();
-            match fleet.request(at, Request::Open { object: name }) {
-                Ok(Response::Opened {
-                    session: Some(id), ..
-                }) => {
-                    let _ = fleet.request(at, Request::Play { session: id });
-                }
-                Ok(_) => {}
-                Err(_) => {} // baseline arm: dead node, open never lands
-            }
-        }
-        fleet.finish()
+    // killed at 1.5 s — mid-storm — and restarts with salvage at 6 s. In
+    // the baseline arm an Open that finds its node dead never lands.
+    let storm = |migration: bool| {
+        let mut storm = FleetKill::STORM;
+        storm.migration = migration;
+        storm.run().0
     };
-
-    let tracer = Tracer::new();
-    let migrating = storm(true, Some(tracer.clone()));
-    let baseline = storm(false, None);
+    let migrating_fleet = storm(true);
+    let (migrating, baseline) = (migrating_fleet.stats(), storm(false).stats());
 
     println!("24-session storm over 8 movies on 4 nodes, node 1 killed at t=1.5s:");
     println!(
@@ -1351,7 +1089,7 @@ fn fleet_resilience() {
     // The stall each migrated session sat through is charged to the
     // node-loss cause — node failure is visible in the attribution
     // partition, not smeared over admission or storage.
-    let report = attribute(&tracer.snapshot().records);
+    let report = migrating_fleet.attribution();
     assert_eq!(report.total(), migrating.shards.global.deadline_misses);
     let node_loss = report
         .by_cause()
@@ -1374,7 +1112,7 @@ fn fleet_resilience() {
     // Determinism: the kill, the handoff, the restore and every retry
     // replay bit-identically from the seed.
     assert_eq!(
-        storm(true, None),
+        storm(true).stats(),
         migrating,
         "claim: same-seed fleet storms must be identical"
     );
@@ -1392,75 +1130,23 @@ fn fleet_resilience() {
 /// zero-error fits are bit-exact), and the brownout question is one typed
 /// query whose rendered answer replays byte-identically.
 fn query_telemetry() {
-    use tbm_interp::Interpretation;
     use tbm_query::{
-        Aggregate, ErrorBound, FleetTelemetry, Metric, Predicate, Query, QueryCtx, Selector,
-        Source, TelemetryStore,
+        Aggregate, ErrorBound, Metric, Predicate, Query, QueryCtx, Selector, Source, TelemetryStore,
     };
-    use tbm_serve::{Capacity, Fleet, NodeFaultPlan, Request, Response, ShardedDb};
-    use tbm_time::{TimeDelta, TimePoint};
 
     println!("§query — model-compressed telemetry + typed queries over the fleet\n");
 
-    let names: Vec<String> = (0..8).map(|i| format!("movie{i}")).collect();
-    let t = |ms: i64| TimePoint::ZERO + TimeDelta::from_millis(ms);
-    let seed = 23u64;
-    let brownout = (t(500), t(2_500));
+    let brownout = (t(BROWNOUT_MS.0), t(BROWNOUT_MS.1));
 
     // One broadcast, parameterised only by the telemetry error bound; with
     // loss-free default links the bound cannot perturb the fleet, so every
-    // run sees the same raw series.
+    // run sees the same raw series. 240 sampled ticks = 12 s: the storm
+    // lands in the first 2 s, the long drained tail is what real telemetry
+    // looks like most of the time — near-constant.
     let storm = |bound: ErrorBound| -> (TelemetryStore, String) {
-        let mut db = ShardedDb::new(6, seed);
-        for name in &names {
-            let store = db.store_for_mut(name);
-            let (blob, interp) = capture::capture_video_scalable(
-                store,
-                &video_frames(40, 96, 64),
-                TimeSystem::PAL,
-                DctParams::default(),
-            )
-            .unwrap();
-            let stream = interp.stream("video1").unwrap().clone();
-            let mut renamed = Interpretation::new(blob);
-            renamed.add_stream(name, stream).unwrap();
-            db.register_interpretation(renamed).unwrap();
-        }
-        let owner = db.shard_for("movie0");
-        let (_, stream) = db.shard(owner).stream_of("movie0").unwrap();
-        let full_bps =
-            tbm_player::demanded_rate(&schedule_from_interp(stream, None), stream.system())
-                .unwrap()
-                .ceil() as u64;
-
-        let mut fleet = Fleet::new(db, 3, Capacity::new(full_bps * 2).with_overhead_us(100))
-            .with_cache_budget(16 << 20)
-            .with_fault_plan(
-                1,
-                NodeFaultPlan::new().with_brownout(brownout.0, brownout.1, 35),
-            );
-        let mut telemetry = FleetTelemetry::new(bound, TimeDelta::from_millis(50));
-        let mut next = 0usize;
-        // 240 sampled ticks = 12 s: the storm lands in the first 2 s, the
-        // long drained tail is what real telemetry looks like most of the
-        // time — near-constant.
-        for k in 0..=240i64 {
-            let at = t(50 * k);
-            telemetry.tick(&mut fleet, at);
-            while next < 16 && (next as i64) * 120 < 50 * (k + 1) {
-                let name = names[next % names.len()].clone();
-                let open_at = t(next as i64 * 120).max(at);
-                if let Ok(Response::Opened {
-                    session: Some(id), ..
-                }) = fleet.request(open_at, Request::Open { object: name })
-                {
-                    let _ = fleet.request(open_at, Request::Play { session: id });
-                }
-                next += 1;
-            }
-        }
-        telemetry.finish(&mut fleet, t(12_050));
-        fleet.finish();
+        let mut storm = Telemetry::query();
+        (storm.ticks, storm.bound) = (240, bound);
+        let (fleet, telemetry) = storm.run();
 
         // The brownout question, in one typed query: p99 lateness for
         // degraded sessions on node 1, during the brownout window.
@@ -1568,109 +1254,21 @@ fn query_telemetry() {
 /// flapping), the clean run is silent, and rerunning a storm renders its
 /// incident reports byte-identically.
 fn health_plane() {
-    use tbm_interp::Interpretation;
-    use tbm_obs::Tracer;
-    use tbm_query::{ErrorBound, FleetTelemetry, HealthMonitor, SloRule};
-    use tbm_serve::{shard_of, Capacity, Fleet, NodeFaultPlan, Request, Response, ShardedDb};
-    use tbm_time::{TimeDelta, TimePoint};
+    use tbm_serve::NodeFaultPlan;
 
     println!("§health — SLO rules, burn-rate alerts, deterministic incident reports\n");
 
-    const SEED: u64 = 23;
-    const SHARDS: usize = 6;
-    const NODES: usize = 3;
-    let t = |ms: i64| TimePoint::ZERO + TimeDelta::from_millis(ms);
-
-    // One movie per shard so the round-robin sessions load every node
-    // identically: the skew rule reads faults, not hash-placement noise.
-    let mut by_shard: Vec<Option<String>> = vec![None; SHARDS];
-    let mut i = 0u32;
-    while by_shard.iter().any(Option::is_none) {
-        let name = format!("movie{i}");
-        by_shard[shard_of(&name, SEED, SHARDS)].get_or_insert(name);
-        i += 1;
-    }
-    let names: Vec<String> = by_shard.into_iter().map(Option::unwrap).collect();
-
-    let rules = || {
-        vec![
-            SloRule::p99_full_lateness_below(2_000.0),
-            SloRule::drop_rate_below(1.0),
-            SloRule::no_unverified_serves(),
-            SloRule::load_skew_below(60.0),
-        ]
-    };
+    // The SLO storm at its defaults: balanced load, ~20% steady load per
+    // node, the rebalancer (the runbook's fix knob) off — detection only.
     let storm = |fault: Option<NodeFaultPlan>| -> (Vec<(String, u64)>, String) {
-        let mut db = ShardedDb::new(SHARDS, SEED);
-        // 250 PAL frames = 10 s of playback: sessions opened in the first
-        // 2 s stream through the whole 4–8 s fault window.
-        for name in &names {
-            let store = db.store_for_mut(name);
-            let (blob, interp) = capture::capture_video_scalable(
-                store,
-                &video_frames(250, 48, 32),
-                TimeSystem::PAL,
-                DctParams::default(),
-            )
-            .unwrap();
-            let stream = interp.stream("video1").unwrap().clone();
-            let mut renamed = Interpretation::new(blob);
-            renamed.add_stream(name, stream).unwrap();
-            db.register_interpretation(renamed).unwrap();
-        }
-        let owner = db.shard_for(&names[0]);
-        let (_, stream) = db.shard(owner).stream_of(&names[0]).unwrap();
-        let full_bps =
-            tbm_player::demanded_rate(&schedule_from_interp(stream, None), stream.system())
-                .unwrap()
-                .ceil() as u64;
-
-        // Ample capacity (~20% steady load per node) keeps the steady
-        // state quiet; skew self-healing is off because the rebalancer is
-        // the runbook's fix knob, not part of the detector under test.
-        let mut fleet = Fleet::new(db, NODES, Capacity::new(full_bps * 20).admit_all())
-            .with_cache_budget(16 << 20)
-            .with_rebalance_skew(None)
-            .with_tracer(Tracer::with_capacity(1 << 16));
-        if let Some(plan) = fault {
-            fleet = fleet.with_fault_plan(1, plan);
-        }
-        let mut monitor = HealthMonitor::new(TimeDelta::from_millis(50));
-        for rule in rules() {
-            monitor = monitor.rule(rule);
-        }
-        let mut telemetry =
-            FleetTelemetry::new(ErrorBound::percent(1.0), TimeDelta::from_millis(50))
-                .with_health(monitor);
-        let mut next = 0usize;
-        for k in 0..=240i64 {
-            let at = t(50 * k);
-            telemetry.tick(&mut fleet, at);
-            while next < 12 && (next as i64) * 150 < 50 * (k + 1) {
-                let name = names[next % names.len()].clone();
-                let open_at = t(next as i64 * 150).max(at);
-                if let Ok(Response::Opened {
-                    session: Some(id), ..
-                }) = fleet.request(open_at, Request::Open { object: name })
-                {
-                    let _ = fleet.request(open_at, Request::Play { session: id });
-                }
-                next += 1;
-            }
-        }
-        telemetry.finish(&mut fleet, t(50 * 241));
-        fleet.finish();
+        let (_, telemetry) = SloStorm::under(fault).run();
 
         let monitor = telemetry.health().expect("health plane attached");
         assert!(
             monitor.open_alerts().is_empty(),
             "claim: hysteresis must close every alert by the end of the run"
         );
-        let opens = monitor
-            .rules()
-            .iter()
-            .map(|r| (r.name.clone(), monitor.opens(&r.name)))
-            .collect();
+        let opens = opens_by_rule(monitor);
         let mut reports = String::new();
         for report in telemetry.incident_reports() {
             reports.push_str(&report.render());
@@ -1679,10 +1277,8 @@ fn health_plane() {
         (opens, reports)
     };
 
-    let kill = || NodeFaultPlan::new().with_crash_restart(t(4_000), t(8_000));
-    let brownout = || NodeFaultPlan::new().with_brownout(t(4_000), t(8_000), 25);
-    let (kill_opens, kill_reports) = storm(Some(kill()));
-    let (brown_opens, _) = storm(Some(brownout()));
+    let (kill_opens, kill_reports) = storm(Some(kill_plan()));
+    let (brown_opens, _) = storm(Some(brownout_plan()));
     let (clean_opens, clean_reports) = storm(None);
 
     println!(
@@ -1717,7 +1313,7 @@ fn health_plane() {
 
     // Determinism: the whole alert pipeline — sampling, burn evaluation,
     // report expansion, rendering — replays byte-identically.
-    let (_, kill_reports2) = storm(Some(kill()));
+    let (_, kill_reports2) = storm(Some(kill_plan()));
     assert_eq!(
         kill_reports, kill_reports2,
         "claim: same-seed reruns must render byte-identical incident reports"
@@ -1743,30 +1339,10 @@ fn health_plane() {
 /// alert closes sooner than the fault), rolls nothing back on the happy
 /// path, and replays byte-identically from the seed.
 fn remediation_plane() {
-    use tbm_interp::Interpretation;
-    use tbm_obs::Tracer;
-    use tbm_query::{
-        Aggregate, ErrorBound, FleetTelemetry, HealthMonitor, Metric, Playbook, Remediator,
-        Selector, SloRule,
-    };
-    use tbm_serve::{shard_of, Capacity, Fleet, NodeFaultPlan, Request, Response, ShardedDb};
-    use tbm_time::{TimeDelta, TimePoint};
+    use tbm_query::{Aggregate, Metric, Playbook, Selector};
+    use tbm_serve::NodeFaultPlan;
 
     println!("§remediate — the loop closed: alerts drive guarded, reversible fleet actions\n");
-
-    const SEED: u64 = 23;
-    const SHARDS: usize = 6;
-    const NODES: usize = 3;
-    let t = |ms: i64| TimePoint::ZERO + TimeDelta::from_millis(ms);
-
-    let mut by_shard: Vec<Option<String>> = vec![None; SHARDS];
-    let mut i = 0u32;
-    while by_shard.iter().any(Option::is_none) {
-        let name = format!("movie{i}");
-        by_shard[shard_of(&name, SEED, SHARDS)].get_or_insert(name);
-        i += 1;
-    }
-    let names: Vec<String> = by_shard.into_iter().map(Option::unwrap).collect();
 
     struct Arm {
         opens: Vec<(String, u64)>,
@@ -1783,64 +1359,12 @@ fn remediation_plane() {
     // per node (the kill runs tight so saturation is the signal) and the
     // remediation plane optionally subscribed to the alert transitions.
     let storm = |fault: NodeFaultPlan, headroom: u64, remediate: bool| -> Arm {
-        let mut db = ShardedDb::new(SHARDS, SEED);
-        for name in &names {
-            let store = db.store_for_mut(name);
-            let (blob, interp) = capture::capture_video_scalable(
-                store,
-                &video_frames(250, 48, 32),
-                TimeSystem::PAL,
-                DctParams::default(),
-            )
-            .unwrap();
-            let stream = interp.stream("video1").unwrap().clone();
-            let mut renamed = Interpretation::new(blob);
-            renamed.add_stream(name, stream).unwrap();
-            db.register_interpretation(renamed).unwrap();
-        }
-        let owner = db.shard_for(&names[0]);
-        let (_, stream) = db.shard(owner).stream_of(&names[0]).unwrap();
-        let full_bps =
-            tbm_player::demanded_rate(&schedule_from_interp(stream, None), stream.system())
-                .unwrap()
-                .ceil() as u64;
-
-        let mut fleet = Fleet::new(db, NODES, Capacity::new(full_bps * headroom).admit_all())
-            .with_cache_budget(16 << 20)
-            .with_rebalance_skew(None)
-            .with_tracer(Tracer::with_capacity(1 << 16))
-            .with_fault_plan(1, fault);
-        let monitor = HealthMonitor::new(TimeDelta::from_millis(50))
-            .rule(SloRule::p99_full_lateness_below(2_000.0))
-            .rule(SloRule::drop_rate_below(1.0))
-            .rule(SloRule::no_unverified_serves())
-            .rule(SloRule::load_skew_below(60.0));
-        let mut telemetry =
-            FleetTelemetry::new(ErrorBound::percent(1.0), TimeDelta::from_millis(50))
-                .with_health(monitor);
-        if remediate {
-            telemetry = telemetry.with_remediator(Remediator::new(Playbook::default_rules()));
-        }
-        let mut next = 0usize;
-        for k in 0..=240i64 {
-            let at = t(50 * k);
-            telemetry.tick(&mut fleet, at);
-            while next < 12 && (next as i64) * 150 < 50 * (k + 1) {
-                let name = names[next % names.len()].clone();
-                let open_at = t(next as i64 * 150).max(at);
-                if let Ok(Response::Opened {
-                    session: Some(id), ..
-                }) = fleet.request(open_at, Request::Open { object: name })
-                {
-                    let _ = fleet.request(open_at, Request::Play { session: id });
-                }
-                next += 1;
-            }
-        }
-        telemetry.finish(&mut fleet, t(50 * 241));
+        let mut storm = SloStorm::under(Some(fault));
+        (storm.playbook, storm.headroom) = (remediate.then(Playbook::default_rules), headroom);
+        let (fleet, telemetry) = storm.run();
         let applied = fleet.metrics().counter("remediation.actions.applied");
         let rolled_back = fleet.metrics().counter("remediation.actions.rolled_back");
-        let stats = fleet.finish();
+        let stats = fleet.stats();
 
         let monitor = telemetry.health().expect("health plane attached");
         assert!(
@@ -1850,11 +1374,7 @@ fn remediation_plane() {
         );
         let g = &stats.shards.global;
         Arm {
-            opens: monitor
-                .rules()
-                .iter()
-                .map(|r| (r.name.clone(), monitor.opens(&r.name)))
-                .collect(),
+            opens: opens_by_rule(monitor),
             open_ticks: monitor
                 .incidents()
                 .iter()
@@ -1883,16 +1403,13 @@ fn remediation_plane() {
         }
     };
 
-    let kill = || NodeFaultPlan::new().with_crash_restart(t(4_000), t(8_000));
-    let brownout = || NodeFaultPlan::new().with_brownout(t(4_000), t(8_000), 25);
-
     // The kill runs tight (5 sessions' headroom per node): losing a node
     // saturates the survivors, so lateness is sustained, not a blip.
-    let kill_off = storm(kill(), 5, false);
-    let kill_on = storm(kill(), 5, true);
+    let kill_off = storm(kill_plan(), 5, false);
+    let kill_on = storm(kill_plan(), 5, true);
     // The brownout runs ample, as in §health: skew is the only signal.
-    let brown_off = storm(brownout(), 20, false);
-    let brown_on = storm(brownout(), 20, true);
+    let brown_off = storm(brownout_plan(), 20, false);
+    let brown_on = storm(brownout_plan(), 20, true);
 
     for (title, off, on) in [
         ("node kill (5× headroom)", &kill_off, &kill_on),
@@ -1970,7 +1487,7 @@ fn remediation_plane() {
 
     // Determinism: the whole loop — sampling, alerting, actions,
     // verification — replays byte-identically from the seed.
-    let kill_on2 = storm(kill(), 5, true);
+    let kill_on2 = storm(kill_plan(), 5, true);
     assert_eq!(
         kill_on.log, kill_on2.log,
         "claim: same-seed runs must produce byte-identical action logs"
@@ -1983,32 +1500,146 @@ fn remediation_plane() {
     println!();
 }
 
-/// Re-renders the registry of a finished run for display. The tracer does
-/// not own the registry, so the interesting figures come off the stats
-/// snapshot; histograms are shown as p50/p99/max.
-fn run_metrics_render(_tracer: &tbm_obs::Tracer, stats: &tbm_serve::ServerStats) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "serve.elements.served   {}\nserve.elements.misses   {}\nserve.faults.detected   {}\nstorage.bytes_read      {}\n",
-        stats.elements_served, stats.deadline_misses, stats.faults_detected, stats.storage_bytes_read
-    ));
-    out.push_str(&format!(
-        "serve.lateness_us       p50 {} / p99 {} / max {}\n",
-        stats.lateness.quantile(50),
-        stats.lateness.quantile(99),
-        stats.lateness.max()
-    ));
-    out.push_str(&format!(
-        "serve.service_us        p50 {} / p99 {} / max {}\n",
-        stats.service.quantile(50),
-        stats.service.quantile(99),
-        stats.service.max()
-    ));
-    out.push_str(&format!(
-        "cache.hit_rate          {:.1}%",
-        stats.cache.hit_rate() * 100.0
-    ));
-    out
+// ---------------------------------------------------------------------------
+// §ablations
+// ---------------------------------------------------------------------------
+
+/// DESIGN §5's design choices nothing else times, ≥ 1 000 iterations an
+/// arm. Only gaps the docs state as ≥ 10× are asserted; the rest is printed.
+fn ablations() {
+    use tbm_blob::ByteSpan;
+    use tbm_core::{MediaDescriptor, MediaKind};
+    use tbm_interp::{ChunkedIndex, ElementEntry, StreamInterp, TimeIndex};
+
+    println!("§ablations — the design choices of DESIGN §5, timed\n");
+    const N: usize = 100_000;
+    /// Prints and returns the mean wall-clock ns of `op` over `iters` calls.
+    fn arm<T>(label: &str, iters: usize, mut op: impl FnMut(usize) -> T) -> f64 {
+        let t0 = std::time::Instant::now();
+        (0..iters).for_each(|i| drop(std::hint::black_box(op(i))));
+        let ns = t0.elapsed().as_nanos() as f64 / iters as f64;
+        println!("  {label:<28}{ns:>12.1} ns");
+        ns
+    }
+    // A contiguous 100k-element table; `gappy` leaves a hole after every
+    // fifth element so no constant stride describes it.
+    let table = |gappy: bool| -> Vec<ElementEntry> {
+        let (mut at, mut tick) = (0u64, 0i64);
+        let entry = |i: usize| {
+            let size = 1000 + (i % 53) as u64;
+            let e = ElementEntry::simple(tick, 1, ByteSpan::new(at, size));
+            let hole = gappy && i.is_multiple_of(5);
+            (at, tick) = (at + size, tick + if hole { 3 } else { 1 });
+            e
+        };
+        (0..N).map(entry).collect()
+    };
+    let (flat, gappy) = (table(false), table(true));
+    let at = |i: usize| i * 7919 % N;
+
+    println!("time → element, {N} elements:");
+    let (by_stride, by_search) = (TimeIndex::build(&flat), TimeIndex::build(&gappy));
+    assert!(matches!(by_stride, TimeIndex::Uniform { .. }));
+    assert!(matches!(by_search, TimeIndex::Search));
+    let stride = arm("uniform stride", N, |i| {
+        by_stride.lookup(&flat, at(i) as i64)
+    });
+    arm("binary search", N, |i| {
+        by_search.lookup(&gappy, gappy[at(i)].start)
+    });
+    // A tick no element covers: the search's walk back over overlaps finds
+    // nothing to stop at and degenerates into the scan.
+    let gap = |i| gappy[at(i) / 5 * 5].end();
+    arm("binary search, tick in a gap", 1_000, |i| {
+        by_search.lookup(&gappy, gap(i))
+    });
+    let scan = arm("linear scan", 1_000, |i| {
+        TimeIndex::lookup_scan(&flat, at(i) as i64)
+    });
+    assert!(
+        scan >= 10.0 * stride,
+        "claim: the stride beats the scan ≥ 10x"
+    );
+
+    println!("\nelement → placement, {N} elements (full table vs one offset per chunk):");
+    let video = MediaDescriptor::new(MediaKind::Video);
+    let stream = StreamInterp::new(video, TimeSystem::PAL, flat.clone()).expect("valid");
+    let placed = |i| stream.entry(i).expect("in range").placement.as_single();
+    arm("full table", N, |i| placed(at(i)));
+    for chunk in [16usize, 64, 256] {
+        let index = ChunkedIndex::build(&flat, chunk).expect("contiguous layout");
+        arm(&format!("chunked/{chunk}"), N, |i| index.placement(at(i)));
+    }
+
+    println!("\none frame of a two-cut edit over two 100-frame sources:");
+    let source = |pattern| {
+        let frames = tbm_media::gen::render_frames(pattern, 0, 100, 64, 48);
+        MediaValue::Video(VideoClip::new(frames, TimeSystem::PAL))
+    };
+    let mut expander = Expander::new();
+    expander.add_source("v1", source(VideoPattern::MovingBar));
+    expander.add_source("v2", source(VideoPattern::ShiftingGradient));
+    let cut = |input, from, to| EditCut { input, from, to };
+    let op = Op::VideoEdit {
+        cuts: vec![cut(0, 0, 50), cut(1, 50, 100)],
+    };
+    let edit = Node::derive(op, vec![Node::source("v1"), Node::source("v2")]);
+    let pull = |_| expander.pull_frame(&edit, 73).expect("in range");
+    let lazy = arm("lazy pull", 1_000, pull);
+    let eager = arm("materialise, then index", 1_000, |_| {
+        let MediaValue::Video(v) = expander.expand(&edit).expect("expands") else {
+            unreachable!("a video edit expands to video")
+        };
+        v.frames[73].clone()
+    });
+    assert!(eager >= 10.0 * lazy, "claim: the lazy pull wins ≥ 10x");
+
+    // One BLOB; a layout is where unit `u`'s 4 KiB video and 1 KiB audio sit.
+    println!("\nsynchronized A/V read, per unit, in presentation order:");
+    const UNITS: u64 = 2_000;
+    let mut store = MemBlobStore::with_extent_size(16 * 1024);
+    let blob = store.create().expect("create");
+    let bytes = vec![1u8; UNITS as usize * 5120];
+    store.append(blob, &bytes).expect("append");
+    let (mut vbuf, mut abuf) = (vec![0u8; 4096], vec![0u8; 1024]);
+    let mut layout = |label, video: fn(u64) -> u64, audio: fn(u64) -> u64| {
+        arm(label, 5 * UNITS as usize, |i| {
+            let (v, a) = (video(i as u64 % UNITS), audio(i as u64 % UNITS));
+            let video = store.read_into(blob, ByteSpan::new(v, 4096), &mut vbuf);
+            let audio = store.read_into(blob, ByteSpan::new(a, 1024), &mut abuf);
+            video.and(audio).expect("spans inside the blob");
+            vbuf[0] + abuf[0]
+        });
+    };
+    layout("interleaved (V A V A …)", |u| u * 5120, |u| u * 5120 + 4096);
+    layout(
+        "separated (all V, all A)",
+        |u| u * 4096,
+        |u| UNITS * 4096 + u * 1024,
+    );
+    println!();
+}
+
+/// Attribution partitions the misses: every deadline miss appears in the
+/// report under exactly one cause.
+fn assert_partition(arm: &str, report: &tbm_obs::AttributionReport, misses: usize) {
+    assert_eq!(
+        report.total(),
+        misses,
+        "claim {arm}: every deadline miss must appear in the attribution report"
+    );
+    let by_cause: usize = report.by_cause().iter().map(|&(_, n)| n).sum();
+    assert_eq!(
+        by_cause,
+        report.total(),
+        "claim {arm}: miss causes must partition the misses"
+    );
+}
+
+/// `(rule name, times its alert opened)` for every armed rule, in order.
+fn opens_by_rule(monitor: &tbm_query::HealthMonitor) -> Vec<(String, u64)> {
+    let opens = |r: &tbm_query::SloRule| (r.name.clone(), monitor.opens(&r.name));
+    monitor.rules().iter().map(opens).collect()
 }
 
 fn indent_block(s: &str) -> String {

@@ -1,6 +1,9 @@
-//! Shared workload builders for the experiment binaries and benches.
+//! Shared workload builders for the experiment binaries, and the
+//! [`scenario`] library the root tests, examples and CI read as well.
 
 #![deny(missing_docs)]
+
+pub mod scenario;
 
 use tbm_blob::MemBlobStore;
 use tbm_codec::dct::DctParams;

@@ -25,92 +25,26 @@
 //! cargo run --example query
 //! ```
 
-use tbm::codec::dct::DctParams;
-use tbm::interp::capture::capture_video_scalable;
-use tbm::interp::Interpretation;
-use tbm::media::gen::{render_frames, VideoPattern};
 use tbm::prelude::*;
-use tbm::serve::Request;
+use tbm_bench::scenario::{t, Telemetry, BROWNOUT_MS};
 
 fn main() {
-    const SEED: u64 = 23;
-    const NODES: usize = 3;
-    const SHARDS: usize = 6;
-    let t = |ms: i64| TimePoint::ZERO + TimeDelta::from_millis(ms);
-
     // ------------------------------------------------------------------
-    // A catalog of eight movies over six shards on three nodes.
+    // The `telemetry` scenario: eight movies over six shards on three
+    // nodes, per-node capacity sized off one movie's full-fidelity demand
+    // so the storm forces real admission decisions (some viewers get the
+    // base layer only — those are the "degraded" sessions the queries
+    // target); node 1 browns out to 35% health across the middle of the
+    // broadcast. Viewers arrive every 120 ms; the telemetry plane ticks
+    // every 50 ms of simulated time, compressing at 1% error.
     // ------------------------------------------------------------------
-    let names: Vec<String> = (0..8).map(|i| format!("movie{i}")).collect();
-    let mut db = ShardedDb::new(SHARDS, SEED);
-    let frames = render_frames(VideoPattern::MovingBar, 0, 40, 96, 64);
-    for name in &names {
-        let store = db.store_for_mut(name);
-        let (blob, interp) =
-            capture_video_scalable(store, &frames, TimeSystem::PAL, DctParams::default()).unwrap();
-        let stream = interp.stream("video1").unwrap().clone();
-        let mut renamed = Interpretation::new(blob);
-        renamed.add_stream(name, stream).unwrap();
-        db.register_interpretation(renamed).unwrap();
-    }
-
-    // Size per-node capacity off one movie's full-fidelity demand so the
-    // storm forces real admission decisions (some viewers get the base
-    // layer only — those are the "degraded" sessions the queries target).
-    let owner = db.shard_for("movie0");
-    let (_, stream) = db.shard(owner).stream_of("movie0").unwrap();
-    let full_bps = tbm::player::demanded_rate(
-        &tbm::player::schedule_from_interp(stream, None),
-        stream.system(),
-    )
-    .unwrap()
-    .ceil() as u64;
-
-    // Node 1 browns out to 35% health across the middle of the broadcast.
-    let brownout = (t(500), t(2_500));
-    let mut fleet = Fleet::new(db, NODES, Capacity::new(full_bps * 2).with_overhead_us(100))
-        .with_cache_budget(32 << 20)
-        .with_tracer(Tracer::new())
-        .with_fault_plan(
-            1,
-            NodeFaultPlan::new().with_brownout(brownout.0, brownout.1, 35),
-        );
+    let brownout = (t(BROWNOUT_MS.0), t(BROWNOUT_MS.1));
     println!(
-        "catalog of {} movies over {SHARDS} shards on {NODES} nodes; node 1 browns out \
-         [500ms, 2500ms) at 35% health\n",
-        names.len()
+        "catalog of 8 movies over 6 shards on 3 nodes; node 1 browns out \
+         [500ms, 2500ms) at 35% health\n"
     );
-
-    // ------------------------------------------------------------------
-    // Broadcast + sample: viewers arrive every 120 ms; the telemetry
-    // plane ticks every 50 ms of simulated time, compressing at 1% error.
-    // ------------------------------------------------------------------
-    let interval = TimeDelta::from_millis(50);
-    let mut telemetry = FleetTelemetry::new(ErrorBound::percent(1.0), interval);
-    let mut next_viewer = 0usize;
-    for k in 0..=120i64 {
-        let at = t(50 * k);
-        telemetry.tick(&mut fleet, at);
-        // Arrivals scheduled inside [at, at + 50ms) open now; the fleet
-        // processes them as it runs to the next sample tick.
-        while next_viewer < 16 && (next_viewer as i64) * 120 < 50 * (k + 1) {
-            let name = names[next_viewer % names.len()].clone();
-            let open_at = t(next_viewer as i64 * 120).max(at);
-            if let Response::Opened {
-                session: Some(id), ..
-            } = fleet
-                .request(open_at, Request::Open { object: name })
-                .unwrap()
-            {
-                fleet
-                    .request(open_at, Request::Play { session: id })
-                    .unwrap();
-            }
-            next_viewer += 1;
-        }
-    }
-    telemetry.finish(&mut fleet, t(6_050));
-    let fleet_stats = fleet.finish();
+    let (fleet, telemetry) = Telemetry::query().run();
+    let fleet_stats = fleet.stats();
 
     let store = telemetry.store().expect("the plane ticked");
     println!(

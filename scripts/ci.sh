@@ -25,24 +25,20 @@ trace=target/broadcast_trace.json
 head -c1 "$trace" | grep -q '\[' || { echo "$trace is not a JSON array" >&2; exit 1; }
 echo "--> $trace: $(wc -c < "$trace") bytes"
 
-echo "==> tier-failover smoke"
-# The broadcast example again, this time over a tiered store whose
-# primary tier blacks out mid-run: the example asserts zero drops,
-# failover reads, and a healed breaker.
-BROADCAST_TIER_BLACKOUT=1 cargo run --release -q -p tbm --example broadcast
-
-echo "==> sharded-catalog smoke"
-# And once more through the shard-aware front end: four shards, each with
-# its own budget and cache; the example asserts hash routing, an exact
-# per-shard -> global rollup, and the fault invariant at both levels.
-BROADCAST_SHARDS=4 cargo run --release -q -p tbm --example broadcast
-
-echo "==> fleet node-kill smoke"
-# And finally on a simulated four-node fleet with a scripted node kill
-# mid-broadcast: the example asserts zero dropped serves across the
-# failover, real migrations, and the salvage restart restoring the home
-# placement.
-BROADCAST_FLEET=4 cargo run --release -q -p tbm --example broadcast
+echo "==> scenario smokes"
+# Every scenario of `tbm_bench::scenario` through the broadcast example,
+# for exit status only: each mode asserts its own contract, and
+# `tests/*_storm.rs` assert the same runs in typed form. The list of names
+# is the one the example prints when it refuses a name — which it must.
+if names="$(cargo run --release -q -p tbm --example broadcast -- no-such-scenario 2>&1 >/dev/null)"; then
+    echo "broadcast accepted an unknown scenario name" >&2; exit 1
+fi
+names="$(echo "$names" | sed -n 's/^scenarios: //p')"
+[ -n "$names" ] || { echo "broadcast listed no scenario names" >&2; exit 1; }
+for name in $names; do
+    echo "--> scenario: $name"
+    cargo run --release -q -p tbm --example broadcast -- "$name" > /dev/null
+done
 
 echo "==> telemetry query smoke"
 # The query example runs the fleet broadcast with the telemetry plane and
@@ -54,35 +50,22 @@ echo "$out" | grep -q '^scan(metrics)' || { echo "query example printed no metri
 echo "$out" | grep -q -- '-----' || { echo "query example printed no table rule" >&2; exit 1; }
 echo "$out" | grep -A2 -- '-----' | grep -vq '(no rows)' || { echo "query tables are empty" >&2; exit 1; }
 
-echo "==> broadcast query-report smoke"
-# The broadcast example once more, with the telemetry plane riding along
-# and a post-run typed query report.
-BROADCAST_QUERY=1 cargo run --release -q -p tbm --example broadcast
-
-echo "==> health-plane smoke"
-# The health plane rides the fleet broadcast through a scripted brownout.
-# The example's own asserts pin "exactly load-skew, exactly once, closed
-# by hysteresis"; on top, the printed report must name the expected alert
-# and must not have opened any other rule.
-out="$(BROADCAST_HEALTH=1 cargo run --release -q -p tbm --example broadcast)"
-echo "$out" | grep -q '^incident: load-skew' || { echo "health smoke: no load-skew incident report" >&2; exit 1; }
-echo "$out" | grep -Eq '^load-skew +1$' || { echo "health smoke: load-skew did not open exactly once" >&2; exit 1; }
-for quiet in lateness-p99-full drop-rate unverified-serves; do
-    echo "$out" | grep -Eq "^$quiet +0\$" || { echo "health smoke: $quiet fired (or its count is missing)" >&2; exit 1; }
+echo "==> paper-claims gate"
+# The six experiment binaries in release, stdout discarded: their
+# `assert!(…, "claim: …")` lines are the gate.
+for exp in exp_fig1 exp_fig2 exp_fig4 exp_fig5 exp_tab1 exp_claims; do
+    echo "--> $exp"
+    cargo run --release -q -p tbm-bench --bin "$exp" > /dev/null
 done
-echo "$out" | grep -q 'breakdown by node:' || { echo "health smoke: report missing the node breakdown" >&2; exit 1; }
 
-echo "==> remediation smoke"
-# The loop closed: the same brownout with the remediation plane attached.
-# The example's own asserts pin "alert opened, rebalance applied, alert
-# closed, nothing rolled back, no freeze"; on top, the printed action log
-# must show the skew alert opening, an applied rebalance, and the alert
-# closing — with zero operator input.
-out="$(BROADCAST_REMEDIATE=1 cargo run --release -q -p tbm --example broadcast)"
-echo "$out" | grep -Eq '^load-skew +1$' || { echo "remediation smoke: load-skew did not open exactly once" >&2; exit 1; }
-echo "$out" | grep -Eq '\[load-skew\] rebalance-shards.* applied' || { echo "remediation smoke: no applied rebalance in the action log" >&2; exit 1; }
-echo "$out" | grep -q 'remediation timeline:' || { echo "remediation smoke: report missing the remediation timeline" >&2; exit 1; }
-echo "$out" | grep -q 'zero operator input' || { echo "remediation smoke: the alert did not close on its own" >&2; exit 1; }
+echo "==> duplication audit"
+# Set-up lives once, in `tbm_bench::scenario`: the stream-rename idiom and
+# the balanced-names probe may not reappear in a test, example or `exp_*`.
+for idiom in 'add_stream(name, stream' 'let mut by_shard'; do
+    hits="$(grep -rnF "$idiom" --include='*.rs' --exclude-dir=perf tests examples crates/bench/src || true)"
+    [ "$(echo "$hits" | grep -c .)" -le 1 ] ||
+        { echo "duplication audit: \`$idiom\` is written more than once:" >&2; echo "$hits" >&2; exit 1; }
+done
 
 echo "==> knob audit"
 # A public builder or setter of the serving core that nothing outside the

@@ -5,22 +5,16 @@
 //! node loss, stalls are attributed to the `node-loss` miss cause, and
 //! same-seed runs replay byte-identically — traces included.
 
-use tbm::codec::dct::DctParams;
-use tbm::interp::capture::capture_video_scalable;
-use tbm::interp::Interpretation;
-use tbm::media::gen::{render_frames, VideoPattern};
 use tbm::prelude::*;
-use tbm::time::{TimeDelta, TimePoint, TimeSystem};
+use tbm_bench::scenario::{
+    catalog_with, demand, movie_names as names, t, wave, Arrival, FleetKill,
+};
 
-const FRAMES: usize = 20; // 20 PAL frames = 800 ms of playback per session
-
-fn t(ms: i64) -> TimePoint {
-    TimePoint::ZERO + TimeDelta::from_millis(ms)
-}
+const FRAMES: usize = FleetKill::STORM.clip.0; // 20 PAL frames = 800 ms of playback per session
 
 /// A sharded catalog of `names` scalable movies, each captured into the
-/// store of the shard that [`shard_of`] assigns it, wrapped in that
-/// shard's fault plan (pass zero-rate plans for clean storage).
+/// store of the shard [`shard_of`] assigns it, wrapped in that shard's
+/// fault plan (pass zero-rate plans for clean storage).
 fn fleet_db(
     names: &[String],
     shards: usize,
@@ -28,33 +22,9 @@ fn fleet_db(
     plans: &[FaultPlan],
 ) -> ShardedDb<FaultyBlobStore<MemBlobStore>> {
     assert_eq!(plans.len(), shards);
-    let mut stores: Vec<MemBlobStore> = (0..shards).map(|_| MemBlobStore::new()).collect();
-    let frames = render_frames(VideoPattern::MovingBar, 0, FRAMES, 48, 32);
-    let mut interps = Vec::new();
-    for name in names {
-        let owner = shard_of(name, seed, shards);
-        let (blob, interp) = capture_video_scalable(
-            &mut stores[owner],
-            &frames,
-            TimeSystem::PAL,
-            DctParams::default(),
-        )
-        .unwrap();
-        let stream = interp.stream("video1").unwrap().clone();
-        let mut renamed = Interpretation::new(blob);
-        renamed.add_stream(name, stream).unwrap();
-        interps.push(renamed);
-    }
-    let faulty = stores
-        .into_iter()
-        .zip(plans.iter().cloned())
-        .map(|(store, plan)| FaultyBlobStore::new(store, plan))
-        .collect();
-    let mut db = ShardedDb::with_stores(faulty, seed);
-    for interp in interps {
-        db.register_interpretation(interp).unwrap();
-    }
-    db
+    catalog_with(names, shards, seed, FleetKill::STORM.clip, |i, store| {
+        FaultyBlobStore::new(store, plans[i])
+    })
 }
 
 fn clean_plans(shards: usize, seed: u64) -> Vec<FaultPlan> {
@@ -63,54 +33,15 @@ fn clean_plans(shards: usize, seed: u64) -> Vec<FaultPlan> {
         .collect()
 }
 
-/// Runs a `sessions`-session storm (staggered 150 ms apart, objects
-/// picked round-robin) over a fleet with node 1 killed at 1.5 s and
-/// restarted at 6 s. Returns the final stats, every `(object, session)`
-/// pair (None = not admitted or unreachable), and the rendered metrics.
-fn kill_storm(
-    names: &[String],
-    shards: usize,
-    nodes: usize,
-    seed: u64,
-    sessions: usize,
-    migration: bool,
-    tracer: Option<Tracer>,
-) -> (FleetStats, Vec<(String, Option<SessionId>)>, String) {
-    let db = fleet_db(names, shards, seed, &clean_plans(shards, seed));
-    let mut fleet = Fleet::new(db, nodes, Capacity::new(400_000_000).admit_all())
-        .with_cache_budget(16 << 20)
-        .with_migration(migration)
-        .with_fault_plan(
-            1,
-            NodeFaultPlan::new().with_crash_restart(t(1_500), t(6_000)),
-        );
-    if let Some(tr) = tracer {
-        fleet = fleet.with_tracer(tr);
-    }
-    let mut opened = Vec::new();
-    for i in 0..sessions {
-        let at = t(i as i64 * 150);
-        let name = names[i % names.len()].clone();
-        match fleet.request(
-            at,
-            Request::Open {
-                object: name.clone(),
-            },
-        ) {
-            Ok(Response::Opened { session, .. }) => {
-                if let Some(id) = session {
-                    // A Play can also be unreachable in the baseline arm;
-                    // the session is then accounted as shed or left open.
-                    let _ = fleet.request(at, Request::Play { session: id });
-                }
-                opened.push((name, session));
-            }
-            Ok(other) => panic!("Open answered {other:?}"),
-            Err(FleetError::Unreachable { .. }) => opened.push((name, None)),
-            Err(e) => panic!("unexpected fleet error: {e}"),
-        }
-    }
-    let stats = fleet.finish();
+/// Runs the `fleet-kill` storm — 24 sessions staggered 150 ms apart over
+/// 8 movies on 4 nodes, node 1 killed at 1.5 s and restarted at 6 s —
+/// and checks what every arm must hold. Returns the finished fleet and
+/// every arrival (no decision = unreachable).
+fn kill_storm(migration: bool) -> (Fleet, Vec<Arrival>) {
+    let mut storm = FleetKill::STORM;
+    storm.migration = migration;
+    let (fleet, opened) = storm.run();
+    let stats = fleet.stats();
     fleet.check_invariants().unwrap();
 
     // The global snapshot is exactly the per-shard sum, wherever the
@@ -135,24 +66,19 @@ fn kill_storm(
         );
     }
 
-    (stats, opened, fleet.metrics().render())
-}
-
-fn names(n: usize) -> Vec<String> {
-    (0..n).map(|i| format!("movie{i}")).collect()
+    (fleet, opened)
 }
 
 #[test]
 fn killing_one_of_four_nodes_drops_nothing_when_migration_is_live() {
-    let names = names(8);
-    let seed = 0xF1EE7;
-    let (with_migration, opened, _) = kill_storm(&names, 8, 4, seed, 24, true, None);
-    let (baseline, _, _) = kill_storm(&names, 8, 4, seed, 24, false, None);
+    let (migrated, opened) = kill_storm(true);
+    let (baseline, _) = kill_storm(false);
+    let (with_migration, baseline) = (migrated.stats(), baseline.stats());
 
     // The migrating fleet admits and finishes every session and serves
     // every element of every schedule: the node kill costs zero serves.
     assert!(
-        opened.iter().all(|(_, s)| s.is_some()),
+        opened.iter().all(|a| a.session.is_some()),
         "live migration must keep every object reachable"
     );
     assert_eq!(
@@ -213,19 +139,26 @@ fn killing_one_of_four_nodes_drops_nothing_when_migration_is_live() {
     assert!(with_migration.per_node[1].up);
     assert_eq!(with_migration.per_node[1].crashes, 1);
     assert_eq!(with_migration.per_node[1].restarts, 1);
+    let placement = migrated.placement();
+    for s in 0..placement.shard_count() {
+        assert_eq!(
+            placement.node_of_shard(s),
+            placement.home_of(s),
+            "the restart must bring shard {s} home"
+        );
+    }
 }
 
 #[test]
 fn migration_stalls_are_attributed_to_node_loss() {
-    let names = names(8);
-    let tracer = Tracer::new();
-    let (stats, _, _) = kill_storm(&names, 8, 4, 0xF1EE7, 24, true, Some(tracer.clone()));
+    let (fleet, _) = kill_storm(true);
+    let stats = fleet.stats();
 
     assert!(
         stats.shards.global.deadline_misses > 0,
         "the handoff stall must cost some deadlines"
     );
-    let report = attribute(&tracer.snapshot().records);
+    let report = attribute(&fleet.trace().records);
     assert_eq!(
         report.total(),
         stats.shards.global.deadline_misses,
@@ -247,14 +180,11 @@ fn migration_stalls_are_attributed_to_node_loss() {
 
 #[test]
 fn same_seed_fleet_storms_replay_byte_identically() {
-    let names = names(6);
     let run = || {
-        let tracer = Tracer::new();
-        let (stats, opened, metrics) =
-            kill_storm(&names, 4, 4, 0xBEEF, 18, true, Some(tracer.clone()));
+        let (fleet, opened) = kill_storm(true);
         let mut trace = Vec::new();
-        tbm::obs::chrome_trace_to_writer(&tracer.snapshot(), &mut trace).unwrap();
-        (stats, opened, metrics, trace)
+        tbm::obs::chrome_trace_to_writer(&fleet.trace(), &mut trace).unwrap();
+        (fleet.stats(), opened, fleet.metrics().render(), trace)
     };
     let (stats_a, opened_a, metrics_a, trace_a) = run();
     let (stats_b, opened_b, metrics_b, trace_b) = run();
@@ -276,20 +206,16 @@ fn partition_trips_the_breaker_and_fails_the_shards_over() {
     let mut fleet = Fleet::new(db, 2, Capacity::new(400_000_000).admit_all())
         .with_cache_budget(16 << 20)
         .with_link(1, link);
-    let mut ids = Vec::new();
-    for i in 0..8 {
-        let at = t(i as i64 * 400);
-        let name = names[i % names.len()].clone();
-        let Response::Opened { session, .. } = fleet
-            .request(at, Request::Open { object: name })
-            .expect("failover must keep every open reachable")
-        else {
-            panic!("Open answers Opened");
-        };
-        let id = session.expect("ample capacity admits");
-        fleet.request(at, Request::Play { session: id }).unwrap();
-        ids.push(id);
-    }
+    let reachable = "failover must keep every open reachable";
+    let opened = wave(
+        |at, r| Some(fleet.request(at, r).expect(reachable)),
+        names.iter().cycle().take(8),
+        400,
+    );
+    let ids: Vec<SessionId> = opened
+        .iter()
+        .map(|a| a.session.expect("ample capacity admits"))
+        .collect();
     let stats = fleet.finish();
     fleet.check_invariants().unwrap();
     assert!(
@@ -310,11 +236,7 @@ fn brownout_degrades_admission_and_recovery_upgrades_it() {
     let names = names(1);
     let seed = 7;
     let probe = fleet_db(&names, 1, seed, &clean_plans(1, seed));
-    let (_, stream) = probe.shard(0).stream_of(&names[0]).unwrap();
-    let full_jobs = tbm::player::schedule_from_interp(stream, None);
-    let full = tbm::player::demanded_rate(&full_jobs, stream.system())
-        .unwrap()
-        .ceil() as u64;
+    let full = demand(probe.shard(0), &names[0], None);
 
     let db = fleet_db(&names, 1, seed, &clean_plans(1, seed));
     let mut fleet = Fleet::new(db, 1, Capacity::new(full * 2))
@@ -359,19 +281,7 @@ fn fleet_metrics_roll_up_nodes_shards_and_fleet_counters() {
     let db = fleet_db(&names, 4, seed, &clean_plans(4, seed));
     let mut fleet =
         Fleet::new(db, 2, Capacity::new(400_000_000).admit_all()).with_cache_budget(16 << 20);
-    for (i, name) in names.iter().enumerate() {
-        let at = t(i as i64 * 100);
-        if let Ok(Response::Opened {
-            session: Some(id), ..
-        }) = fleet.request(
-            at,
-            Request::Open {
-                object: name.clone(),
-            },
-        ) {
-            fleet.request(at, Request::Play { session: id }).unwrap();
-        }
-    }
+    wave(|at, r| Some(fleet.request(at, r).unwrap()), &names, 100);
     let stats = fleet.finish();
     fleet.check_invariants().unwrap();
     let m = fleet.metrics();
@@ -439,24 +349,10 @@ mod prop {
                             1,
                             NodeFaultPlan::new().with_crash(t(kill_ms)),
                         );
-                let mut opened = Vec::new();
-                for i in 0..sessions {
-                    let at = t(i as i64 * 150);
-                    let name = names[i % names.len()].clone();
-                    match fleet.request(at, Request::Open { object: name.clone() }) {
-                        Ok(Response::Opened { session, .. }) => {
-                            if let Some(id) = session {
-                                let _ = fleet.request(at, Request::Play { session: id });
-                            }
-                            opened.push((name, session));
-                        }
-                        Ok(_) => unreachable!("Open answers Opened"),
-                        Err(_) => opened.push((name, None)),
-                    }
-                }
+                let viewers = names.iter().cycle().take(sessions);
+                let opened = wave(|at, r| fleet.request(at, r).ok(), viewers, 150);
                 let stats = fleet.finish();
                 fleet.check_invariants().unwrap();
-    fleet.check_invariants().unwrap();
                 let render = fleet.metrics().render();
                 (stats, opened, render)
             };

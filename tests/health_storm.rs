@@ -9,144 +9,22 @@
 //! streaming and batch evaluation agree over a lossless store, and
 //! same-seed reruns render byte-identical reports.
 
-use tbm::codec::dct::DctParams;
-use tbm::interp::capture::capture_video_scalable;
-use tbm::interp::Interpretation;
-use tbm::media::gen::{render_frames, VideoPattern};
 use tbm::obs::{Category, RecordKind};
 use tbm::prelude::*;
-use tbm::query::{AlertKind, HealthMonitor, SloRule};
-use tbm::serve::Request;
-use tbm::time::{TimeDelta, TimePoint, TimeSystem};
-
-const SEED: u64 = 23;
-const NODES: usize = 3;
-const SHARDS: usize = 6;
-const INTERVAL_MS: i64 = 50;
-const TICKS: i64 = 240;
+use tbm_bench::scenario::{
+    brownout_plan, kill_plan, runbook_rules, SloStorm, FAULT_MS, INTERVAL_MS,
+};
 
 /// The fault window: node 1 is killed (or browned out) at 4 s — tick 80 —
 /// and restored at 8 s, while sessions opened in the first 2 s are still
 /// streaming their 10 s movies.
-const FAULT_FROM_MS: i64 = 4_000;
-const FAULT_TO_MS: i64 = 8_000;
-const FAULT_TICK: u32 = (FAULT_FROM_MS / INTERVAL_MS) as u32;
+const FAULT_TICK: u32 = (FAULT_MS.0 / INTERVAL_MS) as u32;
 
-fn t(ms: i64) -> TimePoint {
-    TimePoint::ZERO + TimeDelta::from_millis(ms)
-}
-
-/// One movie name per shard (probed through [`shard_of`]), so the
-/// round-robin session storm loads every shard — and therefore every
-/// node — identically. The health plane's skew rule then reads true
-/// imbalance (a fault), not hash-placement noise.
-fn balanced_names() -> Vec<String> {
-    let mut by_shard: Vec<Option<String>> = vec![None; SHARDS];
-    let mut found = 0;
-    let mut i = 0u32;
-    while found < SHARDS {
-        let name = format!("movie{i}");
-        let shard = shard_of(&name, SEED, SHARDS);
-        if by_shard[shard].is_none() {
-            by_shard[shard] = Some(name);
-            found += 1;
-        }
-        i += 1;
-    }
-    by_shard.into_iter().map(Option::unwrap).collect()
-}
-
-fn catalog(names: &[String]) -> ShardedDb {
-    let mut db = ShardedDb::new(SHARDS, SEED);
-    // 250 PAL frames = 10 s of playback, so sessions opened in the first
-    // 2 s are still live through the 4–8 s fault window.
-    let frames = render_frames(VideoPattern::MovingBar, 0, 250, 48, 32);
-    for name in names {
-        let store = db.store_for_mut(name);
-        let (blob, interp) =
-            capture_video_scalable(store, &frames, TimeSystem::PAL, DctParams::default()).unwrap();
-        let stream = interp.stream("video1").unwrap().clone();
-        let mut renamed = Interpretation::new(blob);
-        renamed.add_stream(name, stream).unwrap();
-        db.register_interpretation(renamed).unwrap();
-    }
-    db
-}
-
-/// The storm's rule set: every built-in armed at the thresholds the
-/// runbook documents. A healthy run clears all four.
-fn rules() -> Vec<SloRule> {
-    vec![
-        SloRule::p99_full_lateness_below(2_000.0),
-        SloRule::drop_rate_below(1.0),
-        SloRule::no_unverified_serves(),
-        SloRule::load_skew_below(60.0),
-    ]
-}
-
-/// One 12 s broadcast — 12 sessions staggered 150 ms apart over an
-/// amply-provisioned fleet, so steady state is quiet and the scripted
-/// `fault` on node 1 is the only signal — with the health plane riding
-/// every telemetry tick.
+/// The SLO storm under `fault`, telemetry compressed at `bound`.
 fn storm(fault: Option<NodeFaultPlan>, bound: ErrorBound) -> (Fleet, FleetTelemetry) {
-    let names = balanced_names();
-    let db = catalog(&names);
-    let owner = db.shard_for(&names[0]);
-    let (_, stream) = db.shard(owner).stream_of(&names[0]).unwrap();
-    let full_bps = tbm::player::demanded_rate(
-        &tbm::player::schedule_from_interp(stream, None),
-        stream.system(),
-    )
-    .unwrap()
-    .ceil() as u64;
-
-    // 20 streams of per-node capacity against 4 steady sessions per node:
-    // ~20% steady load, so a 25%-health brownout pushes the browned node
-    // to ~80% — a clear skew signal with enough service headroom left
-    // that lateness stays quiet (the brownout alert is skew, not p99).
-    // Skew self-healing is off: this storm is about *detecting* imbalance,
-    // so the health plane must see the fault, not the fleet's own
-    // rebalancer racing it (the runbook's fix knob is that rebalancer).
-    let mut fleet = Fleet::new(db, NODES, Capacity::new(full_bps * 20).admit_all())
-        .with_cache_budget(16 << 20)
-        .with_rebalance_skew(None)
-        .with_tracer(Tracer::with_capacity(1 << 16));
-    if let Some(plan) = fault {
-        fleet = fleet.with_fault_plan(1, plan);
-    }
-    let mut monitor = HealthMonitor::new(TimeDelta::from_millis(INTERVAL_MS));
-    for rule in rules() {
-        monitor = monitor.rule(rule);
-    }
-    let mut telemetry =
-        FleetTelemetry::new(bound, TimeDelta::from_millis(INTERVAL_MS)).with_health(monitor);
-    let mut next = 0usize;
-    for k in 0..=TICKS {
-        let at = t(INTERVAL_MS * k);
-        telemetry.tick(&mut fleet, at);
-        while next < 12 && (next as i64) * 150 < INTERVAL_MS * (k + 1) {
-            let name = names[next % names.len()].clone();
-            let open_at = t(next as i64 * 150).max(at);
-            if let Ok(Response::Opened {
-                session: Some(id), ..
-            }) = fleet.request(open_at, Request::Open { object: name })
-            {
-                let _ = fleet.request(open_at, Request::Play { session: id });
-            }
-            next += 1;
-        }
-    }
-    telemetry.finish(&mut fleet, t(INTERVAL_MS * (TICKS + 1)));
-    fleet.finish();
-    (fleet, telemetry)
-}
-
-fn kill_plan() -> NodeFaultPlan {
-    NodeFaultPlan::new().with_crash_restart(t(FAULT_FROM_MS), t(FAULT_TO_MS))
-}
-
-fn brownout_plan() -> NodeFaultPlan {
-    NodeFaultPlan::new().with_brownout(t(FAULT_FROM_MS), t(FAULT_TO_MS), 25)
+    let mut storm = SloStorm::under(fault);
+    storm.bound = bound;
+    storm.run()
 }
 
 /// `(rule name, opens)` for every armed rule, in rule order.
@@ -301,7 +179,7 @@ fn streaming_and_batch_replay_agree_over_a_lossless_store() {
     assert_eq!(streaming.incidents().len(), 1, "the kill must alert");
 
     let store = telemetry.store().expect("ticked");
-    let (batch, transitions) = HealthMonitor::replay(store, rules());
+    let (batch, transitions) = HealthMonitor::replay(store, runbook_rules());
     assert_eq!(streaming.incidents(), batch.incidents());
     for rule in batch.rules() {
         assert_eq!(streaming.opens(&rule.name), batch.opens(&rule.name));

@@ -2,69 +2,29 @@
 //! byte-stable, span parent links are acyclic, and the deadline-miss
 //! attribution report covers every miss exactly once.
 
-use tbm::blob::{FaultPlan, FaultyBlobStore, MemBlobStore};
-use tbm::codec::dct::DctParams;
-use tbm::interp::capture::capture_video_scalable;
-use tbm::media::gen::{render_frames, VideoPattern};
 use tbm::obs::{chrome_trace, validate_json, SpanId, Tracer};
 use tbm::prelude::*;
-use tbm::serve::{Request, Response, Server};
-use tbm::time::{TimeDelta, TimePoint, TimeSystem};
-
-fn t(ms: i64) -> TimePoint {
-    TimePoint::ZERO + TimeDelta::from_millis(ms)
-}
+use tbm_bench::scenario::Hot;
 
 /// One fully traced storm: a seeded faulty store shares the tracer with
-/// the server, several sessions oversubscribe the channel, and the run is
-/// drained. Returns the tracer and the final stats.
+/// the server, four sessions 80 ms apart oversubscribe a channel sized
+/// from the stream's demanded rate (roomy enough to admit, tight enough
+/// to miss deadlines), and the run is drained. Returns the tracer and the
+/// final stats.
 fn traced_storm(seed: u64) -> (Tracer, ServerStats) {
-    let mut store = MemBlobStore::new();
-    let frames = render_frames(VideoPattern::MovingBar, 0, 24, 48, 32);
-    let (_blob, interp) =
-        capture_video_scalable(&mut store, &frames, TimeSystem::PAL, DctParams::default()).unwrap();
-
-    // Size the channel from the stream's demanded rate: roomy enough to
-    // admit, tight enough that four concurrent sessions miss deadlines.
-    let full = {
-        let mut probe = MediaDb::with_store(MemBlobStore::new());
-        probe.register_interpretation(interp.clone()).unwrap();
-        let (_, stream) = probe.stream_of("video1").unwrap();
-        let jobs = tbm::player::schedule_from_interp(stream, None);
-        tbm::player::demanded_rate(&jobs, stream.system())
-            .unwrap()
-            .ceil() as u64
+    let storm = Hot {
+        clip: (24, 48, 32),
+        wave: (4, 80),
+        capacity: |full| Capacity::new(full + full / 4).admit_all(),
+        cache_budget: 8 << 20,
+        faults: Some(
+            FaultPlan::new(seed)
+                .with_transient(0.3)
+                .with_corruption(0.1),
+        ),
     };
-
-    let tracer = Tracer::new();
-    let plan = FaultPlan::new(seed)
-        .with_transient(0.3)
-        .with_corruption(0.1);
-    let faulty = FaultyBlobStore::new(store, plan).with_tracer(tracer.clone());
-    let mut db = MediaDb::with_store(faulty);
-    db.register_interpretation(interp).unwrap();
-
-    let mut server = Server::new(db, Capacity::new(full + full / 4).admit_all())
-        .with_cache_budget(8 << 20)
-        .with_tracer(tracer.clone());
-    for n in 0..4i64 {
-        let at = t(n * 80);
-        if let Response::Opened {
-            session: Some(id), ..
-        } = server
-            .request(
-                at,
-                Request::Open {
-                    object: "video1".into(),
-                },
-            )
-            .unwrap()
-        {
-            server.request(at, Request::Play { session: id }).unwrap();
-        }
-    }
-    let stats = server.finish();
-    (tracer, stats)
+    let (server, _) = storm.run();
+    (server.tracer().clone(), server.stats())
 }
 
 #[test]

@@ -6,81 +6,15 @@
 //! queries enforce their predicate/source validity matrix, and same-seed
 //! runs render byte-identical answers.
 
-use tbm::codec::dct::DctParams;
-use tbm::interp::capture::capture_video_scalable;
-use tbm::interp::Interpretation;
-use tbm::media::gen::{render_frames, VideoPattern};
 use tbm::prelude::*;
-use tbm::query::Source;
-use tbm::serve::Request;
-use tbm::time::{TimeDelta, TimePoint, TimeSystem};
+use tbm_bench::scenario::Telemetry;
 
-const SEED: u64 = 23;
-const NODES: usize = 3;
-const SHARDS: usize = 6;
-const INTERVAL_MS: i64 = 50;
-const TICKS: i64 = 120;
-
-fn t(ms: i64) -> TimePoint {
-    TimePoint::ZERO + TimeDelta::from_millis(ms)
-}
-
-fn catalog(names: &[String]) -> ShardedDb {
-    let mut db = ShardedDb::new(SHARDS, SEED);
-    let frames = render_frames(VideoPattern::MovingBar, 0, 30, 96, 64);
-    for name in names {
-        let store = db.store_for_mut(name);
-        let (blob, interp) =
-            capture_video_scalable(store, &frames, TimeSystem::PAL, DctParams::default()).unwrap();
-        let stream = interp.stream("video1").unwrap().clone();
-        let mut renamed = Interpretation::new(blob);
-        renamed.add_stream(name, stream).unwrap();
-        db.register_interpretation(renamed).unwrap();
-    }
-    db
-}
-
-/// One broadcast with the plane sampling every tick; returns the fleet
-/// (finished), the telemetry (finished) and the session count.
+/// The `telemetry` broadcast with the plane sampling every tick; returns
+/// the fleet and the telemetry plane, both finished.
 fn storm(bound: ErrorBound, lossy_links: bool) -> (Fleet, FleetTelemetry) {
-    let names: Vec<String> = (0..8).map(|i| format!("movie{i}")).collect();
-    let db = catalog(&names);
-    let owner = db.shard_for("movie0");
-    let (_, stream) = db.shard(owner).stream_of("movie0").unwrap();
-    let full_bps = tbm::player::demanded_rate(
-        &tbm::player::schedule_from_interp(stream, None),
-        stream.system(),
-    )
-    .unwrap()
-    .ceil() as u64;
-
-    let mut fleet = Fleet::new(db, NODES, Capacity::new(full_bps * 2).with_overhead_us(100))
-        .with_cache_budget(16 << 20);
-    if lossy_links {
-        for node in 0..NODES {
-            fleet = fleet.with_link(node, Link::new(10_000_000).with_loss(0.5).with_seed(7));
-        }
-    }
-    let mut telemetry = FleetTelemetry::new(bound, TimeDelta::from_millis(INTERVAL_MS));
-    let mut next = 0usize;
-    for k in 0..=TICKS {
-        let at = t(INTERVAL_MS * k);
-        telemetry.tick(&mut fleet, at);
-        while next < 12 && (next as i64) * 120 < INTERVAL_MS * (k + 1) {
-            let name = names[next % names.len()].clone();
-            let open_at = t(next as i64 * 120).max(at);
-            if let Ok(Response::Opened {
-                session: Some(id), ..
-            }) = fleet.request(open_at, Request::Open { object: name })
-            {
-                let _ = fleet.request(open_at, Request::Play { session: id });
-            }
-            next += 1;
-        }
-    }
-    telemetry.finish(&mut fleet, t(INTERVAL_MS * (TICKS + 1)));
-    fleet.finish();
-    (fleet, telemetry)
+    let mut storm = Telemetry::query();
+    (storm.bound, storm.lossy_links) = (bound, lossy_links);
+    storm.run()
 }
 
 #[test]

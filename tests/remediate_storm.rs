@@ -10,134 +10,19 @@
 //! gauge and the `SkewBelow` objective share one skew definition; and
 //! same-seed runs produce byte-identical action logs and reports.
 
-use tbm::codec::dct::DctParams;
-use tbm::interp::capture::capture_video_scalable;
-use tbm::interp::Interpretation;
-use tbm::media::gen::{render_frames, VideoPattern};
 use tbm::obs::Category;
 use tbm::prelude::*;
 use tbm::query::{Outcome, SuppressReason, Verdict};
-use tbm::time::{TimeDelta, TimePoint, TimeSystem};
+use tbm_bench::scenario::{brownout_plan, catalog, full_rate, kill_plan, t, SloStorm, INTERVAL_MS};
 
 const SEED: u64 = 23;
-const NODES: usize = 3;
-const SHARDS: usize = 6;
-const INTERVAL_MS: i64 = 50;
-const TICKS: i64 = 240;
-const FAULT_FROM_MS: i64 = 4_000;
-const FAULT_TO_MS: i64 = 8_000;
 
-fn t(ms: i64) -> TimePoint {
-    TimePoint::ZERO + TimeDelta::from_millis(ms)
-}
-
-/// One movie name per shard, so the round-robin storm loads every node
-/// identically and skew reads true imbalance (same shape as the health
-/// storm — the remediation plane must fix the same faults that storm
-/// detects).
-fn balanced_names() -> Vec<String> {
-    let mut by_shard: Vec<Option<String>> = vec![None; SHARDS];
-    let mut found = 0;
-    let mut i = 0u32;
-    while found < SHARDS {
-        let name = format!("movie{i}");
-        let shard = shard_of(&name, SEED, SHARDS);
-        if by_shard[shard].is_none() {
-            by_shard[shard] = Some(name);
-            found += 1;
-        }
-        i += 1;
-    }
-    by_shard.into_iter().map(Option::unwrap).collect()
-}
-
-fn catalog(names: &[String]) -> ShardedDb {
-    let mut db = ShardedDb::new(SHARDS, SEED);
-    let frames = render_frames(VideoPattern::MovingBar, 0, 250, 48, 32);
-    for name in names {
-        let store = db.store_for_mut(name);
-        let (blob, interp) =
-            capture_video_scalable(store, &frames, TimeSystem::PAL, DctParams::default()).unwrap();
-        let stream = interp.stream("video1").unwrap().clone();
-        let mut renamed = Interpretation::new(blob);
-        renamed.add_stream(name, stream).unwrap();
-        db.register_interpretation(renamed).unwrap();
-    }
-    db
-}
-
-fn rules() -> Vec<SloRule> {
-    vec![
-        SloRule::p99_full_lateness_below(2_000.0),
-        SloRule::drop_rate_below(1.0),
-        SloRule::no_unverified_serves(),
-        SloRule::load_skew_below(60.0),
-    ]
-}
-
-/// The PR 8 storm — 12 staggered sessions over an amply-provisioned
-/// fleet with a scripted fault on node 1 — with the health plane riding
-/// every tick and, when `playbook` is given, the remediation plane
-/// closing the loop. The request-plane auto-rebalancer is off in both
-/// arms so the Remediator is the only actor.
+/// The SLO storm under `fault` with the health plane riding every tick
+/// and, when `playbook` is given, the remediation plane closing the loop.
 fn storm(fault: Option<NodeFaultPlan>, playbook: Option<Playbook>) -> (Fleet, FleetTelemetry) {
-    let names = balanced_names();
-    let db = catalog(&names);
-    let owner = db.shard_for(&names[0]);
-    let (_, stream) = db.shard(owner).stream_of(&names[0]).unwrap();
-    let full_bps = tbm::player::demanded_rate(
-        &tbm::player::schedule_from_interp(stream, None),
-        stream.system(),
-    )
-    .unwrap()
-    .ceil() as u64;
-
-    let mut fleet = Fleet::new(db, NODES, Capacity::new(full_bps * 20).admit_all())
-        .with_cache_budget(16 << 20)
-        .with_rebalance_skew(None)
-        .with_tracer(Tracer::with_capacity(1 << 16));
-    if let Some(plan) = fault {
-        fleet = fleet.with_fault_plan(1, plan);
-    }
-    let mut monitor = HealthMonitor::new(TimeDelta::from_millis(INTERVAL_MS));
-    for rule in rules() {
-        monitor = monitor.rule(rule);
-    }
-    let mut telemetry = FleetTelemetry::new(
-        ErrorBound::percent(1.0),
-        TimeDelta::from_millis(INTERVAL_MS),
-    )
-    .with_health(monitor);
-    if let Some(pb) = playbook {
-        telemetry = telemetry.with_remediator(Remediator::new(pb));
-    }
-    let mut next = 0usize;
-    for k in 0..=TICKS {
-        let at = t(INTERVAL_MS * k);
-        telemetry.tick(&mut fleet, at);
-        while next < 12 && (next as i64) * 150 < INTERVAL_MS * (k + 1) {
-            let name = names[next % names.len()].clone();
-            let open_at = t(next as i64 * 150).max(at);
-            if let Ok(Response::Opened {
-                session: Some(id), ..
-            }) = fleet.request(open_at, Request::Open { object: name })
-            {
-                let _ = fleet.request(open_at, Request::Play { session: id });
-            }
-            next += 1;
-        }
-    }
-    telemetry.finish(&mut fleet, t(INTERVAL_MS * (TICKS + 1)));
-    fleet.finish();
-    (fleet, telemetry)
-}
-
-fn brownout_plan() -> NodeFaultPlan {
-    NodeFaultPlan::new().with_brownout(t(FAULT_FROM_MS), t(FAULT_TO_MS), 25)
-}
-
-fn kill_plan() -> NodeFaultPlan {
-    NodeFaultPlan::new().with_crash_restart(t(FAULT_FROM_MS), t(FAULT_TO_MS))
+    let mut storm = SloStorm::under(fault);
+    storm.playbook = playbook;
+    storm.run()
 }
 
 /// The brownout storm's surgical playbook: rebalance on skew, nothing
@@ -179,6 +64,13 @@ fn brownout_load_skew_heals_itself_with_zero_operator_input() {
         .filter(|r| r.outcome == Outcome::Applied)
         .collect();
     assert!(!applied.is_empty(), "log:\n{}", rem.render_log());
+    assert!(
+        rem.render_log()
+            .lines()
+            .any(|l| l.contains("[load-skew] rebalance-shards") && l.contains(" applied")),
+        "the rendered log must show the applied rebalance:\n{}",
+        rem.render_log()
+    );
     assert!(
         applied[0].detail.contains("node1→"),
         "{}",
@@ -287,39 +179,11 @@ fn names_owned_by(shards: usize, want: impl Fn(usize) -> bool, per_shard: usize)
     names
 }
 
-/// A tiny catalog — 25 PAL frames per name — over `shards` shards.
-fn mini_catalog(shards: usize, names: &[String]) -> ShardedDb {
-    let mut db = ShardedDb::new(shards, SEED);
-    let frames = render_frames(VideoPattern::MovingBar, 0, 25, 48, 32);
-    for name in names {
-        let store = db.store_for_mut(name);
-        let (blob, interp) =
-            capture_video_scalable(store, &frames, TimeSystem::PAL, DctParams::default()).unwrap();
-        let stream = interp.stream("video1").unwrap().clone();
-        let mut renamed = Interpretation::new(blob);
-        renamed.add_stream(name, stream).unwrap();
-        db.register_interpretation(renamed).unwrap();
-    }
-    db
-}
-
-/// One movie's full-fidelity demand rate, for sizing node capacity.
-fn full_rate(db: &ShardedDb, name: &str) -> u64 {
-    let owner = db.shard_for(name);
-    let (_, stream) = db.shard(owner).stream_of(name).unwrap();
-    tbm::player::demanded_rate(
-        &tbm::player::schedule_from_interp(stream, None),
-        stream.system(),
-    )
-    .unwrap()
-    .ceil() as u64
-}
-
-/// A fleet of `nodes` over a `mini_catalog`, with `headroom` sessions'
-/// worth of capacity per node, one open session per name, and the
-/// request-plane auto-rebalancer off.
+/// A fleet of `nodes` over a tiny catalog (25 PAL frames per name, over
+/// `shards` shards), with `headroom` sessions' worth of capacity per node,
+/// one open session per name, and the request-plane auto-rebalancer off.
 fn mini_fleet(nodes: usize, shards: usize, names: &[String], headroom: u64) -> Fleet {
-    let db = mini_catalog(shards, names);
+    let db = catalog(names, shards, SEED, (25, 48, 32));
     let full_bps = full_rate(&db, &names[0]);
     let mut fleet = Fleet::new(db, nodes, Capacity::new(full_bps * headroom).admit_all())
         .with_rebalance_skew(None)

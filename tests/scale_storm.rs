@@ -8,18 +8,10 @@
 //!   sessions its cold twin would bounce, the decode stage still gates at
 //!   full demand, and evictions re-charge admitted sessions.
 
-use tbm::codec::dct::DctParams;
-use tbm::interp::capture::capture_video_scalable;
-use tbm::interp::Interpretation;
-use tbm::media::gen::{render_frames, VideoPattern};
 use tbm::obs::{Tracer, DEFAULT_TRACE_CAPACITY, ELEMENT_SPAN};
 use tbm::prelude::*;
 use tbm::serve::{AdmitDecision, Request, Response, Server, ShardedStats};
-use tbm::time::{TimeDelta, TimePoint, TimeSystem};
-
-fn t(ms: i64) -> TimePoint {
-    TimePoint::ZERO + TimeDelta::from_millis(ms)
-}
+use tbm_bench::scenario::{catalog_with, demand, movie_db, movie_names, storm_plans, t, wave};
 
 // ---------------------------------------------------------------------------
 // Determinism at any worker count
@@ -32,39 +24,9 @@ fn sharded_faulty_db(
     shards: usize,
     seed: u64,
 ) -> ShardedDb<FaultyBlobStore<MemBlobStore>> {
-    let mut stores: Vec<MemBlobStore> = (0..shards).map(|_| MemBlobStore::new()).collect();
-    let frames = render_frames(VideoPattern::MovingBar, 0, 20, 48, 32);
-    let mut interps = Vec::new();
-    for name in names {
-        let owner = shard_of(name, seed, shards);
-        let (blob, interp) = capture_video_scalable(
-            &mut stores[owner],
-            &frames,
-            TimeSystem::PAL,
-            DctParams::default(),
-        )
-        .unwrap();
-        let stream = interp.stream("video1").unwrap().clone();
-        let mut renamed = Interpretation::new(blob);
-        renamed.add_stream(name, stream).unwrap();
-        interps.push(renamed);
-    }
-    let faulty = stores
-        .into_iter()
-        .enumerate()
-        .map(|(i, store)| {
-            let plan = FaultPlan::new(seed ^ (i as u64 + 1))
-                .with_transient(0.2)
-                .with_corruption(0.05)
-                .with_latency(0.1, 300);
-            FaultyBlobStore::new(store, plan)
-        })
-        .collect();
-    let mut db = ShardedDb::with_stores(faulty, seed);
-    for interp in interps {
-        db.register_interpretation(interp).unwrap();
-    }
-    db
+    let plans = storm_plans(shards, seed);
+    let faulty = |i: usize, store| FaultyBlobStore::new(store, plans[i]);
+    catalog_with(names, shards, seed, (20, 48, 32), faulty)
 }
 
 /// Everything the determinism contract covers, captured from one storm.
@@ -81,24 +43,14 @@ struct Surface {
 fn traced_storm(workers: usize) -> Surface {
     let seed = 0xBEEF;
     let shards = 4;
-    let names: Vec<String> = (0..6).map(|i| format!("movie{i}")).collect();
+    let names = movie_names(6);
     let db = sharded_faulty_db(&names, shards, seed);
     let mut server = ShardedServer::new(db, Capacity::new(100_000_000))
         .with_cache_budget(16 << 20)
         .with_shard_tracers(DEFAULT_TRACE_CAPACITY)
         .with_workers(workers);
-    for i in 0..12usize {
-        let at = t(i as i64 * 150);
-        let object = names[i % names.len()].clone();
-        let Response::Opened { session, .. } =
-            server.request(at, Request::Open { object }).unwrap()
-        else {
-            panic!("Open answers Opened");
-        };
-        if let Some(id) = session {
-            server.request(at, Request::Play { session: id }).unwrap();
-        }
-    }
+    let viewers = names.iter().cycle().take(12);
+    wave(|at, r| Some(server.request(at, r).unwrap()), viewers, 150);
     let stats = server.finish();
     server.check_invariants().unwrap();
     let mut chrome_trace = Vec::new();
@@ -131,7 +83,7 @@ fn tracing_mode_set_last_wins() {
     // merging the abandoned per-shard rings while the records went to the
     // shared one. In either order the mode set last is the one in force.
     for shared_last in [true, false] {
-        let names: Vec<String> = (0..6).map(|i| format!("movie{i}")).collect();
+        let names = movie_names(6);
         let server = ShardedServer::new(
             sharded_faulty_db(&names, 4, 0xBEEF),
             Capacity::new(100_000_000),
@@ -146,14 +98,7 @@ fn tracing_mode_set_last_wins() {
                 .with_tracer(shared.clone())
                 .with_shard_tracers(DEFAULT_TRACE_CAPACITY)
         };
-        for object in names {
-            if let Response::Opened {
-                session: Some(id), ..
-            } = server.request(t(0), Request::Open { object }).unwrap()
-            {
-                server.request(t(0), Request::Play { session: id }).unwrap();
-            }
-        }
+        wave(|at, r| Some(server.request(at, r).unwrap()), &names, 0);
         let stats = server.finish();
         let element_spans = |records: &[tbm::obs::TraceRecord]| {
             records.iter().filter(|r| r.name == ELEMENT_SPAN).count()
@@ -184,22 +129,11 @@ fn staged_drain_matches_sequential() {
     let storm = |workers: usize| {
         let seed = 0x7EE0;
         let shards = 4;
-        let names: Vec<String> = (0..8).map(|i| format!("movie{i}")).collect();
+        let names = movie_names(8);
         let db = sharded_faulty_db(&names, shards, seed);
         let mut server = ShardedServer::new(db, Capacity::new(1 << 40));
-        for i in 0..24usize {
-            let object = names[i % names.len()].clone();
-            if let Response::Opened {
-                session: Some(id), ..
-            } = server
-                .request(TimePoint::ZERO, Request::Open { object })
-                .unwrap()
-            {
-                server
-                    .request(TimePoint::ZERO, Request::Play { session: id })
-                    .unwrap();
-            }
-        }
+        let viewers = names.iter().cycle().take(24);
+        wave(|at, r| Some(server.request(at, r).unwrap()), viewers, 0);
         assert_eq!(server.set_workers(workers), 1, "staged at one worker");
         let stats = server.finish();
         server.check_invariants().unwrap();
@@ -222,23 +156,13 @@ fn staged_drain_matches_sequential() {
 // ---------------------------------------------------------------------------
 
 /// One scalable movie in a clean in-memory catalog.
-fn movie_db() -> MediaDb<MemBlobStore> {
-    let mut store = MemBlobStore::new();
-    let frames = render_frames(VideoPattern::MovingBar, 0, 30, 64, 48);
-    let (_blob, interp) =
-        capture_video_scalable(&mut store, &frames, TimeSystem::PAL, DctParams::default()).unwrap();
-    let mut db = MediaDb::with_store(store);
-    db.register_interpretation(interp).unwrap();
-    db
+fn movie() -> MediaDb<MemBlobStore> {
+    movie_db(MemBlobStore::new(), (30, 64, 48), |store| store)
 }
 
 /// Full-fidelity demand of the movie in bytes/s.
 fn full_demand(db: &MediaDb<MemBlobStore>) -> u64 {
-    let (_, stream) = db.stream_of("video1").unwrap();
-    let jobs = tbm::player::schedule_from_interp(stream, None);
-    tbm::player::demanded_rate(&jobs, stream.system())
-        .unwrap()
-        .ceil() as u64
+    demand(db, "video1", None)
 }
 
 /// Plays one session through the whole movie, leaving every verified span
@@ -280,13 +204,13 @@ fn open(server: &mut Server<MemBlobStore>, at: TimePoint) -> (Option<SessionId>,
 
 #[test]
 fn hot_object_admits_where_cold_object_bounces() {
-    let d = full_demand(&movie_db()) as i64;
+    let d = full_demand(&movie()) as i64;
     let two_sessions = Capacity::new(2 * d as u64 + 1);
 
     // Cold control: no cache residency to discount against. The warmed-up
     // session has finished (capacity released), so two more fit and the
     // fourth open bounces off the full-fidelity path.
-    let mut cold = Server::new(movie_db(), two_sessions.with_cache_aware_admission());
+    let mut cold = Server::new(movie(), two_sessions.with_cache_aware_admission());
     warm_cache(&mut cold);
     cold.set_cache_budget(0); // drop residency, keep everything else equal
     let decisions: Vec<AdmitDecision> = (0..3).map(|_| open(&mut cold, t(100_000)).1).collect();
@@ -300,8 +224,8 @@ fn hot_object_admits_where_cold_object_bounces() {
     // Hot: the same storm against a warmed cache. Every planned span is
     // resident, the storage stage is charged zero, and all three admit at
     // full fidelity.
-    let mut hot = Server::new(movie_db(), two_sessions.with_cache_aware_admission())
-        .with_cache_budget(64 << 20);
+    let mut hot =
+        Server::new(movie(), two_sessions.with_cache_aware_admission()).with_cache_budget(64 << 20);
     warm_cache(&mut hot);
     for i in 0..3 {
         let (_, decision) = open(&mut hot, t(100_000));
@@ -323,11 +247,11 @@ fn decode_stage_still_gates_fully_resident_sessions() {
     // Cache hits skip the fetch but not the decode: with the decode stage
     // sized for two sessions, the third bounces even though its storage
     // charge is zero.
-    let d = full_demand(&movie_db());
+    let d = full_demand(&movie());
     let capacity = Capacity::new(2 * d + 1)
         .with_decode_rate(2 * d + 1)
         .with_cache_aware_admission();
-    let mut server = Server::new(movie_db(), capacity).with_cache_budget(64 << 20);
+    let mut server = Server::new(movie(), capacity).with_cache_budget(64 << 20);
     warm_cache(&mut server);
     let decisions: Vec<AdmitDecision> = (0..3).map(|_| open(&mut server, t(100_000)).1).collect();
     assert_eq!(decisions[0], AdmitDecision::Admitted);
@@ -340,12 +264,12 @@ fn decode_stage_still_gates_fully_resident_sessions() {
 
 #[test]
 fn eviction_reprices_admitted_sessions() {
-    let d = full_demand(&movie_db());
+    let d = full_demand(&movie());
     let capacity = Capacity::new(3 * d / 2 + 1).with_cache_aware_admission();
 
     // Hot twin: a second session admitted against residency stays cheap,
     // so a third still fits.
-    let mut stays_hot = Server::new(movie_db(), capacity).with_cache_budget(64 << 20);
+    let mut stays_hot = Server::new(movie(), capacity).with_cache_budget(64 << 20);
     warm_cache(&mut stays_hot);
     let (_, b) = open(&mut stays_hot, t(100_000));
     assert_eq!(b, AdmitDecision::Admitted);
@@ -356,7 +280,7 @@ fn eviction_reprices_admitted_sessions() {
     // Evicted twin: identical up to the second admission, then the cache
     // is dropped. The admitted session is re-charged its full demand on
     // the spot, and the third open now bounces.
-    let mut evicted = Server::new(movie_db(), capacity).with_cache_budget(64 << 20);
+    let mut evicted = Server::new(movie(), capacity).with_cache_budget(64 << 20);
     warm_cache(&mut evicted);
     let (_, b) = open(&mut evicted, t(100_000));
     assert_eq!(b, AdmitDecision::Admitted);
@@ -380,8 +304,8 @@ fn eviction_reprices_admitted_sessions() {
 fn cache_aware_flag_off_is_inert() {
     // The flag defaults off, and the warmed-up storm then prices exactly
     // like the cold one: residency is never consulted.
-    let d = full_demand(&movie_db());
-    let mut server = Server::new(movie_db(), Capacity::new(2 * d + 1)).with_cache_budget(64 << 20);
+    let d = full_demand(&movie());
+    let mut server = Server::new(movie(), Capacity::new(2 * d + 1)).with_cache_budget(64 << 20);
     warm_cache(&mut server);
     let decisions: Vec<AdmitDecision> = (0..3).map(|_| open(&mut server, t(100_000)).1).collect();
     assert_eq!(decisions[0], AdmitDecision::Admitted);
@@ -393,11 +317,11 @@ fn cache_aware_flag_off_is_inert() {
 }
 
 #[test]
-fn batched_loop_counts_batches_and_spans_them_on_request() {
+fn batched_loop_counts_batches() {
     // Sessions anchored at the same instant share element deadlines, so
     // the loop serves them in same-deadline batches; the counter is part
     // of the deterministic surface.
-    let mut server = Server::new(movie_db(), Capacity::new(1 << 40));
+    let mut server = Server::new(movie(), Capacity::new(1 << 40));
     for _ in 0..4 {
         let (id, decision) = open(&mut server, t(0));
         assert_eq!(decision, AdmitDecision::Admitted);

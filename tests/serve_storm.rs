@@ -2,41 +2,26 @@
 //! cache, many sessions, admission control on — every cross-layer
 //! invariant of the serving stack checked in one run.
 
-use tbm::codec::dct::DctParams;
-use tbm::interp::capture::capture_video_scalable;
-use tbm::media::gen::{render_frames, VideoPattern};
 use tbm::prelude::*;
 use tbm::serve::{AdmitDecision, RejectReason, Request, Response, Server, ServerStats};
-use tbm::time::{TimeDelta, TimePoint, TimeSystem};
+use tbm_bench::scenario::{self, movie_db, open_play, t, wave};
 
-const VIEWERS: i64 = 10;
-
-fn t(ms: i64) -> TimePoint {
-    TimePoint::ZERO + TimeDelta::from_millis(ms)
-}
+const VIEWERS: usize = 10;
 
 /// A catalog holding one scalable movie on a seeded faulty store.
 fn faulty_db(seed: u64) -> MediaDb<FaultyBlobStore<MemBlobStore>> {
-    let mut store = MemBlobStore::new();
-    let frames = render_frames(VideoPattern::MovingBar, 0, 30, 64, 48);
-    let (_blob, interp) =
-        capture_video_scalable(&mut store, &frames, TimeSystem::PAL, DctParams::default()).unwrap();
     let plan = FaultPlan::new(seed)
         .with_transient(0.25)
         .with_corruption(0.08)
         .with_latency(0.1, 400);
-    let mut db = MediaDb::with_store(FaultyBlobStore::new(store, plan));
-    db.register_interpretation(interp).unwrap();
-    db
+    movie_db(MemBlobStore::new(), (30, 64, 48), |store| {
+        FaultyBlobStore::new(store, plan)
+    })
 }
 
 /// Demand of the movie in bytes/s at the given layer cap.
 fn demand(db: &MediaDb<FaultyBlobStore<MemBlobStore>>, layers: Option<usize>) -> u64 {
-    let (_, stream) = db.stream_of("video1").unwrap();
-    let jobs = tbm::player::schedule_from_interp(stream, layers);
-    tbm::player::demanded_rate(&jobs, stream.system())
-        .unwrap()
-        .ceil() as u64
+    scenario::demand(db, "video1", layers)
 }
 
 /// Capacity fitting three full-fidelity sessions plus one base-layer one:
@@ -50,19 +35,9 @@ fn storm(mut server: Server<FaultyBlobStore<MemBlobStore>>) -> (ServerStats, Vec
     let mut decisions = Vec::new();
     let bandwidth = server.capacity().storage_bandwidth;
     for n in 0..VIEWERS {
-        let at = t(n * 120);
-        let Response::Opened { session, decision } = server
-            .request(
-                at,
-                Request::Open {
-                    object: "video1".into(),
-                },
-            )
-            .unwrap()
-        else {
-            panic!("Open answers Opened");
-        };
-        decisions.push(decision);
+        let request = &mut |at, r| Some(server.request(at, r).unwrap());
+        let arrival = open_play(request, t(n as i64 * 120), "video1");
+        decisions.extend(arrival.decision);
         // Committed demand never exceeds the admitted capacity, at every
         // step of the storm.
         assert!(
@@ -71,9 +46,6 @@ fn storm(mut server: Server<FaultyBlobStore<MemBlobStore>>) -> (ServerStats, Vec
             server.stats().committed_bps,
             bandwidth
         );
-        if let Some(id) = session {
-            server.request(at, Request::Play { session: id }).unwrap();
-        }
     }
     let stats = server.finish();
     server.check_invariants().unwrap();
@@ -88,10 +60,10 @@ fn storm_respects_capacity_and_stats_invariants() {
     let (stats, decisions) = storm(server);
 
     // Every open got exactly one decision, and all three kinds occurred.
-    assert_eq!(decisions.len(), VIEWERS as usize);
+    assert_eq!(decisions.len(), VIEWERS);
     assert_eq!(
         stats.admitted + stats.admitted_degraded + stats.rejected,
-        VIEWERS as usize
+        VIEWERS
     );
     assert!(stats.admitted >= 3, "{decisions:?}");
     assert!(
@@ -129,22 +101,8 @@ fn global_stats_are_the_sum_of_session_stats() {
     let db = faulty_db(0xC0FFEE);
     let capacity = storm_capacity(&db);
     let mut server = Server::new(db, capacity).with_cache_budget(32 << 20);
-    for n in 0..VIEWERS {
-        let at = t(n * 120);
-        if let Response::Opened {
-            session: Some(id), ..
-        } = server
-            .request(
-                at,
-                Request::Open {
-                    object: "video1".into(),
-                },
-            )
-            .unwrap()
-        {
-            server.request(at, Request::Play { session: id }).unwrap();
-        }
-    }
+    let viewers = std::iter::repeat_n("video1", VIEWERS);
+    wave(|at, r| Some(server.request(at, r).unwrap()), viewers, 120);
     let stats = server.finish();
     server.check_invariants().unwrap();
 
@@ -198,18 +156,13 @@ mod prop {
         corruption: f64,
         latency_p: f64,
     ) -> MediaDb<FaultyBlobStore<MemBlobStore>> {
-        let mut store = MemBlobStore::new();
-        let frames = render_frames(VideoPattern::MovingBar, 0, 20, 48, 32);
-        let (_blob, interp) =
-            capture_video_scalable(&mut store, &frames, TimeSystem::PAL, DctParams::default())
-                .unwrap();
         let plan = FaultPlan::new(seed)
             .with_transient(transient)
             .with_corruption(corruption)
             .with_latency(latency_p, 300);
-        let mut db = MediaDb::with_store(FaultyBlobStore::new(store, plan));
-        db.register_interpretation(interp).unwrap();
-        db
+        movie_db(MemBlobStore::new(), (20, 48, 32), |store| {
+            FaultyBlobStore::new(store, plan)
+        })
     }
 
     proptest! {

@@ -3,93 +3,29 @@
 //! (routing, no stat leakage, fault accounting, determinism) checked
 //! end to end and under proptest-drawn placements and fault plans.
 
-use tbm::codec::dct::DctParams;
-use tbm::interp::capture::capture_video_scalable;
-use tbm::interp::Interpretation;
-use tbm::media::gen::{render_frames, VideoPattern};
 use tbm::prelude::*;
-use tbm::serve::{Request, Response, ShardedStats, SHARD_SESSION_STRIDE};
-use tbm::time::{TimeDelta, TimePoint, TimeSystem};
+use tbm::serve::{ShardedStats, SHARD_SESSION_STRIDE};
+use tbm_bench::scenario::{catalog_with, movie_names, storm_plans as plans_for, wave, Arrival};
 
-fn t(ms: i64) -> TimePoint {
-    TimePoint::ZERO + TimeDelta::from_millis(ms)
-}
-
-/// A sharded catalog of `names` scalable movies over one faulty store per
-/// shard. Each movie's bytes are captured into the store of the shard that
-/// [`shard_of`] assigns it, then wrapped in that shard's fault plan — so
-/// fault injection is per shard, exactly like per-machine storage.
-fn sharded_faulty_db(
-    names: &[String],
-    shards: usize,
-    seed: u64,
-    plans: &[FaultPlan],
-) -> ShardedDb<FaultyBlobStore<MemBlobStore>> {
-    assert_eq!(plans.len(), shards);
-    let mut stores: Vec<MemBlobStore> = (0..shards).map(|_| MemBlobStore::new()).collect();
-    let frames = render_frames(VideoPattern::MovingBar, 0, 20, 48, 32);
-    let mut interps = Vec::new();
-    for name in names {
-        let owner = shard_of(name, seed, shards);
-        let (blob, interp) = capture_video_scalable(
-            &mut stores[owner],
-            &frames,
-            TimeSystem::PAL,
-            DctParams::default(),
-        )
-        .unwrap();
-        // The capture helper names streams "video1"; re-hang the stream
-        // under the movie's routing name.
-        let stream = interp.stream("video1").unwrap().clone();
-        let mut renamed = Interpretation::new(blob);
-        renamed.add_stream(name, stream).unwrap();
-        interps.push(renamed);
-    }
-    let faulty = stores
-        .into_iter()
-        .zip(plans.iter().cloned())
-        .map(|(store, plan)| FaultyBlobStore::new(store, plan))
-        .collect();
-    let mut db = ShardedDb::with_stores(faulty, seed);
-    for interp in interps {
-        db.register_interpretation(interp).unwrap();
-    }
-    db
-}
-
-/// Opens one staggered session per entry of `wave` (indices into `names`)
-/// and drains the fleet. Returns the final stats plus every opened
-/// `(object, session id)` pair for routing checks.
+/// Opens one staggered session per entry of `picks` (indices into `names`)
+/// over a catalog of scalable movies on one faulty store per shard — each
+/// movie's bytes on the shard [`shard_of`] assigns it, under that shard's
+/// fault plan, exactly like per-machine storage — and drains the fleet.
+/// Returns the final stats plus every arrival for routing checks.
 fn storm(
     names: &[String],
-    wave: &[usize],
+    picks: &[usize],
     shards: usize,
     seed: u64,
     plans: &[FaultPlan],
     capacity: Capacity,
-) -> (ShardedStats, Vec<(String, Option<SessionId>)>, String) {
-    let db = sharded_faulty_db(names, shards, seed, plans);
+) -> (ShardedStats, Vec<Arrival>, String) {
+    assert_eq!(plans.len(), shards);
+    let faulty = |i: usize, store| FaultyBlobStore::new(store, plans[i]);
+    let db = catalog_with(names, shards, seed, (20, 48, 32), faulty);
     let mut server = ShardedServer::new(db, capacity).with_cache_budget(16 << 20);
-    let mut opened = Vec::new();
-    for (i, &pick) in wave.iter().enumerate() {
-        let at = t(i as i64 * 150);
-        let name = names[pick % names.len()].clone();
-        let Response::Opened { session, .. } = server
-            .request(
-                at,
-                Request::Open {
-                    object: name.clone(),
-                },
-            )
-            .unwrap()
-        else {
-            panic!("Open answers Opened");
-        };
-        if let Some(id) = session {
-            server.request(at, Request::Play { session: id }).unwrap();
-        }
-        opened.push((name, session));
-    }
+    let objects: Vec<&String> = picks.iter().map(|&p| &names[p % names.len()]).collect();
+    let opened = wave(|at, r| Some(server.request(at, r).unwrap()), objects, 150);
     let stats = server.finish();
     server.check_invariants().unwrap();
 
@@ -120,24 +56,18 @@ fn storm(
         rebuilt.absorb(s);
     }
     assert_eq!(rebuilt, stats.global, "global stats must be the shard sum");
+    assert_eq!(
+        server.metrics().gauge("shard.skew"),
+        stats.skew_percent(),
+        "the gauge reports the snapshot's skew"
+    );
 
     (stats, opened, server.metrics().render())
 }
 
-fn plans_for(shards: usize, seed: u64) -> Vec<FaultPlan> {
-    (0..shards)
-        .map(|i| {
-            FaultPlan::new(seed ^ (i as u64 + 1))
-                .with_transient(0.2)
-                .with_corruption(0.05)
-                .with_latency(0.1, 300)
-        })
-        .collect()
-}
-
 #[test]
 fn sessions_land_on_their_hash_shard_and_invariants_hold() {
-    let names: Vec<String> = (0..6).map(|i| format!("movie{i}")).collect();
+    let names = movie_names(6);
     let wave: Vec<usize> = (0..12).collect();
     let shards = 3;
     let seed = 0xC0FFEE;
@@ -151,12 +81,13 @@ fn sessions_land_on_their_hash_shard_and_invariants_hold() {
     );
 
     // Every admitted session's id names the shard its object hashes to.
-    for (name, session) in &opened {
-        if let Some(id) = session {
+    for arrival in &opened {
+        if let Some(id) = arrival.session {
             assert_eq!(
                 (id.raw() / SHARD_SESSION_STRIDE) as usize,
-                shard_of(name, seed, shards),
-                "session for {name:?} landed off its hash shard"
+                shard_of(&arrival.object, seed, shards),
+                "session for {:?} landed off its hash shard",
+                arrival.object
             );
         }
     }
@@ -173,7 +104,7 @@ fn sessions_land_on_their_hash_shard_and_invariants_hold() {
 
 #[test]
 fn same_seed_sharded_storms_are_byte_identical() {
-    let names: Vec<String> = (0..5).map(|i| format!("movie{i}")).collect();
+    let names = movie_names(5);
     let wave: Vec<usize> = (0..10).collect();
     let run = || {
         storm(
@@ -233,11 +164,11 @@ mod prop {
             };
             let (stats, opened, metrics) = run();
 
-            for (name, session) in &opened {
-                if let Some(id) = session {
+            for arrival in &opened {
+                if let Some(id) = arrival.session {
                     prop_assert_eq!(
                         (id.raw() / SHARD_SESSION_STRIDE) as usize,
-                        shard_of(name, seed, shards)
+                        shard_of(&arrival.object, seed, shards)
                     );
                 }
             }

@@ -3,18 +3,11 @@
 //! no read is ever served unverified, failover keeps the drop rate at
 //! zero, breakers heal, and every deadline miss gets exactly one cause.
 
-use tbm::codec::dct::DctParams;
-use tbm::interp::capture::capture_video_scalable;
-use tbm::media::gen::{render_frames, VideoPattern};
 use tbm::prelude::*;
 use tbm::serve::{Request, Response, Server};
-use tbm::time::{TimeDelta, TimePoint, TimeSystem};
+use tbm_bench::scenario::{capture_movie, demand, t};
 
 const ELEMENTS: usize = 20;
-
-fn t(ms: i64) -> TimePoint {
-    TimePoint::ZERO + TimeDelta::from_millis(ms)
-}
 
 /// Three tiers fastest-first — mem over file over remote — each backed by
 /// its own seeded fault injector.
@@ -38,10 +31,7 @@ fn tiered_store(plans: [FaultPlan; 3]) -> TieredBlobStore {
 /// Captures one scalable movie through the tiered facade (write-through
 /// populates every tier identically; checksums come from the source bytes).
 fn capture_into(store: &mut TieredBlobStore) -> tbm::interp::Interpretation {
-    let frames = render_frames(VideoPattern::MovingBar, 0, ELEMENTS, 48, 32);
-    let (_blob, interp) =
-        capture_video_scalable(store, &frames, TimeSystem::PAL, DctParams::default()).unwrap();
-    interp
+    capture_movie(store, (ELEMENTS, 48, 32)).1
 }
 
 fn open(server: &mut Server<TieredBlobStore>, at: TimePoint) -> Option<tbm::core::SessionId> {
@@ -219,11 +209,7 @@ mod prop {
             let store = store.with_outage(0, t(0), t(outage_ms));
             let mut db = MediaDb::with_store(store);
             db.register_interpretation(interp).unwrap();
-            let (_, stream) = db.stream_of("video1").unwrap();
-            let jobs = tbm::player::schedule_from_interp(stream, None);
-            let full = tbm::player::demanded_rate(&jobs, stream.system())
-                .unwrap()
-                .ceil() as u64;
+            let full = demand(&db, "video1", None);
             let mut server = Server::new(db, Capacity::new(full + full / 8).admit_all())
                 .with_tracer(Tracer::new());
             for n in 0..3 {
