@@ -1259,7 +1259,8 @@ fn health_plane() {
     println!("§health — SLO rules, burn-rate alerts, deterministic incident reports\n");
 
     // The SLO storm at its defaults: balanced load, ~20% steady load per
-    // node, the rebalancer (the runbook's fix knob) off — detection only.
+    // node, no playbook (so no rebalance, the runbook's fix) — detection
+    // only.
     let storm = |fault: Option<NodeFaultPlan>| -> (Vec<(String, u64)>, String) {
         let (_, telemetry) = SloStorm::under(fault).run();
 

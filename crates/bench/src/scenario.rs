@@ -517,8 +517,8 @@ impl Telemetry {
 
 /// `slo-storm` — the PR 8 storm: seed 23, one balanced 10 s movie on each
 /// of six shards over three nodes, twelve viewers 150 ms apart, 240 ticks,
-/// the runbook's rules armed, the request-plane rebalancer off so the
-/// health (and remediation) plane is the only actor.
+/// the runbook's rules armed; the remediation plane, when a playbook is
+/// given, is the only actor on placement besides the fault.
 #[derive(Debug, Clone)]
 pub struct SloStorm {
     /// The scripted fault on node 1 (`None` = a clean run).
@@ -554,7 +554,6 @@ impl SloStorm {
         let capacity = Capacity::new(full_rate(&db, &names[0]) * self.headroom).admit_all();
         let mut fleet = Fleet::new(db, 3, capacity)
             .with_cache_budget(16 << 20)
-            .with_rebalance_skew(None)
             .with_tracer(Tracer::with_capacity(1 << 16));
         if let Some(plan) = &self.fault {
             fleet = fleet.with_fault_plan(1, plan.clone());

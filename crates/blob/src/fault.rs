@@ -25,7 +25,7 @@
 
 use crate::{BlobError, BlobStore, ByteSpan};
 use std::cell::Cell;
-use tbm_core::BlobId;
+use tbm_core::{splitmix64, BlobId};
 use tbm_obs::{Category, Tracer};
 
 /// A seeded, reproducible plan of read faults.
@@ -133,13 +133,6 @@ const TAG_CORRUPT: u64 = 3;
 const TAG_CORRUPT_POS: u64 = 4;
 const TAG_TRUNCATE: u64 = 5;
 const TAG_LATENCY: u64 = 6;
-
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 impl<S: BlobStore> FaultyBlobStore<S> {
     /// Wraps `inner`, injecting faults per `plan`.
@@ -389,23 +382,16 @@ pub struct RetryPolicy {
     pub base_backoff_us: u64,
     /// Total backoff budget in microseconds; retries stop when exceeded.
     pub backoff_budget_us: u64,
-    /// Seed for deterministic backoff jitter; `None` disables jitter.
-    ///
-    /// With a seed, each backoff step is scaled into `[50%, 100%]` of its
-    /// nominal value by a pure function of `(seed, attempt)`, so retry
-    /// storms de-synchronize *and* same-seed runs stay byte-identical.
-    pub jitter_seed: Option<u64>,
 }
 
 impl RetryPolicy {
-    /// A policy with `max_retries` retries, 200µs base backoff, a 50ms
-    /// total budget and no jitter.
+    /// A policy with `max_retries` retries, 200µs base backoff and a 50ms
+    /// total budget.
     pub const fn new(max_retries: u32) -> RetryPolicy {
         RetryPolicy {
             max_retries,
             base_backoff_us: 200,
             backoff_budget_us: 50_000,
-            jitter_seed: None,
         }
     }
 
@@ -415,33 +401,26 @@ impl RetryPolicy {
             max_retries: 0,
             base_backoff_us: 0,
             backoff_budget_us: 0,
-            jitter_seed: None,
         }
     }
 
-    /// Enables seeded-deterministic backoff jitter. Derive `seed` from the
-    /// session or fault-plan seed so reproducibility survives retry storms.
-    pub fn with_jitter(mut self, seed: u64) -> RetryPolicy {
-        self.jitter_seed = Some(seed);
-        self
-    }
-
-    /// The backoff actually charged for retry number `attempt` given a
-    /// nominal (doubled) backoff: the nominal value without jitter, or a
-    /// seed-deterministic value in `[nominal/2, nominal]` with it.
-    fn jittered(&self, nominal: u64, attempt: u32) -> u64 {
-        match self.jitter_seed {
-            None => nominal,
-            Some(seed) => {
-                let half = nominal / 2;
-                let spread = nominal - half;
-                if spread == 0 {
-                    return nominal;
-                }
-                let h = splitmix64(splitmix64(seed) ^ u64::from(attempt + 1));
-                half + h % (spread + 1)
-            }
+    /// The schedule, one step at a time: after `report.attempts` failed
+    /// attempts, the backoff before the next one — the base backoff doubled
+    /// once per retry already made — charged to `report`. `None`, with
+    /// `report` untouched, once the retries or the backoff budget are
+    /// spent.
+    pub fn next_backoff(&self, report: &mut RetryReport) -> Option<u64> {
+        let retries = report.attempts.saturating_sub(1);
+        if retries >= self.max_retries {
+            return None;
         }
+        let step = (0..retries).fold(self.base_backoff_us, |b, _| b.saturating_mul(2));
+        let spent = report.backoff_spent_us.saturating_add(step);
+        if spent > self.backoff_budget_us {
+            return None;
+        }
+        report.backoff_spent_us = spent;
+        Some(step)
     }
 }
 
@@ -456,28 +435,19 @@ pub struct RetryReport {
 
 impl RetryPolicy {
     /// Runs `op` (which receives the attempt number) until it succeeds, hits
-    /// a non-transient error, or exhausts the retry/backoff budget.
+    /// a non-transient error, or exhausts the retry/backoff budget
+    /// ([`RetryPolicy::next_backoff`]).
     pub fn run<T>(
         &self,
         mut op: impl FnMut(u32) -> Result<T, BlobError>,
     ) -> (Result<T, BlobError>, RetryReport) {
         let mut report = RetryReport::default();
-        let mut backoff = self.base_backoff_us;
-        let mut attempt = 0u32;
         loop {
-            report.attempts = attempt + 1;
-            match op(attempt) {
+            report.attempts += 1;
+            match op(report.attempts - 1) {
                 Ok(v) => return (Ok(v), report),
-                Err(e) => {
-                    let step = self.jittered(backoff, attempt);
-                    let out_of_budget = report.backoff_spent_us + step > self.backoff_budget_us;
-                    if attempt >= self.max_retries || !is_transient(&e) || out_of_budget {
-                        return (Err(e), report);
-                    }
-                    report.backoff_spent_us += step;
-                    backoff = backoff.saturating_mul(2);
-                    attempt += 1;
-                }
+                Err(e) if is_transient(&e) && self.next_backoff(&mut report).is_some() => {}
+                Err(e) => return (Err(e), report),
             }
         }
     }
@@ -616,7 +586,6 @@ mod tests {
             max_retries: 10,
             base_backoff_us: 1000,
             backoff_budget_us: 2500,
-            jitter_seed: None,
         };
         let (result, report) = policy.run(|_| -> Result<(), BlobError> {
             Err(BlobError::Io(std::io::Error::new(
@@ -628,33 +597,6 @@ mod tests {
         // 1000 + 2000 would exceed 2500 at the second retry.
         assert_eq!(report.attempts, 2);
         assert_eq!(report.backoff_spent_us, 1000);
-    }
-
-    #[test]
-    fn jittered_backoff_is_seeded_deterministic_and_bounded() {
-        let always_transient = |_: u32| -> Result<(), BlobError> {
-            Err(BlobError::Io(std::io::Error::new(
-                std::io::ErrorKind::Interrupted,
-                "always transient",
-            )))
-        };
-        let run = |seed: u64| {
-            let policy = RetryPolicy::new(5).with_jitter(seed);
-            let (_, report) = policy.run(always_transient);
-            report
-        };
-        // Same seed, same accounted backoff — byte-identical retry storms.
-        assert_eq!(run(7), run(7));
-        // Different seeds de-synchronize the storm.
-        assert_ne!(run(7).backoff_spent_us, run(8).backoff_spent_us);
-        // Every jittered step stays within [nominal/2, nominal].
-        let policy = RetryPolicy::new(5).with_jitter(42);
-        let nominal = RetryPolicy::new(5);
-        let (_, jit) = policy.run(always_transient);
-        let (_, nom) = nominal.run(always_transient);
-        assert_eq!(jit.attempts, nom.attempts);
-        assert!(jit.backoff_spent_us <= nom.backoff_spent_us);
-        assert!(jit.backoff_spent_us >= nom.backoff_spent_us / 2);
     }
 
     #[test]

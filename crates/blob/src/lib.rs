@@ -24,8 +24,9 @@
 //!
 //! Two decorators compose over them: [`FaultyBlobStore`] injects a seeded,
 //! reproducible storm of read faults, and [`TieredBlobStore`] stacks any
-//! stores fastest-first behind per-tier circuit breakers, deadline-aware
-//! hedging, verify-and-repair reads and promotion/demotion residency.
+//! stores fastest-first behind per-tier circuit breakers ([`Breaker`], which
+//! `tbm-serve`'s fleet puts on every node too), deadline-aware hedging,
+//! verify-and-repair reads and promotion/demotion residency.
 //! Residency is kept in [`LruSlab`], a byte-weighted strict LRU over a slab
 //! that the server's segment cache (`tbm-serve`) shares.
 //!
@@ -53,4 +54,4 @@ pub use lru::{LruSlab, SpanKey};
 pub use mem_store::MemBlobStore;
 pub use span::ByteSpan;
 pub use store::{BlobStore, BlobWriter, ReadCtx};
-pub use tiered::{BreakerState, TierConfig, TierStats, TieredBlobStore};
+pub use tiered::{Breaker, BreakerState, TierConfig, TierStats, TieredBlobStore};

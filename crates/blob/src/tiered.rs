@@ -49,15 +49,15 @@ use tbm_core::{crc32, BlobId};
 use tbm_obs::{Category, SpanId, Tracer};
 use tbm_time::{TimeDelta, TimePoint};
 
-/// Observable circuit-breaker state of one tier.
+/// The state of a [`Breaker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
-    /// Healthy: reads flow to this tier.
+    /// Healthy: calls flow through.
     Closed,
-    /// Tripped: the tier is out of the read path until its cooldown ends
-    /// (or a deadline-pressed hedge probes it early).
+    /// Tripped: calls are held back until the cooldown ends (a tier's
+    /// deadline-pressed hedge may still probe it early).
     Open,
-    /// Cooldown expired: the next read is a probe; success closes the
+    /// Cooldown expired: the next call is a probe; success closes the
     /// breaker, failure re-arms it.
     HalfOpen,
 }
@@ -72,92 +72,76 @@ impl fmt::Display for BreakerState {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum BState {
-    Closed,
-    Open { until: TimePoint },
-    HalfOpen,
-}
-
-#[derive(Debug)]
-struct Breaker {
-    state: BState,
+/// A circuit breaker on the simulated clock — one per storage tier here,
+/// one per node in `tbm-serve`'s fleet. *Closed* while calls succeed; opens
+/// after `threshold` consecutive failures; *half-open* once `cooldown` has
+/// passed, when one success closes it again. Only closed → open counts a
+/// trip: a failure while open or half-open re-arms the cooldown.
+#[derive(Debug, Clone)]
+pub struct Breaker {
+    state: BreakerState,
+    /// When an open breaker turns half-open.
+    until: TimePoint,
     consecutive: u32,
     threshold: u32,
     cooldown: TimeDelta,
-    opens: u64,
-    outage_span: SpanId,
+    trips: u64,
 }
 
 impl Breaker {
-    fn new(threshold: u32, cooldown_us: u64) -> Breaker {
+    /// A closed breaker tripping after `threshold` (at least 1)
+    /// consecutive failures, with `cooldown` before a half-open probe.
+    pub fn new(threshold: u32, cooldown: TimeDelta) -> Breaker {
         Breaker {
-            state: BState::Closed,
+            state: BreakerState::Closed,
+            until: TimePoint::ZERO,
             consecutive: 0,
             threshold: threshold.max(1),
-            cooldown: TimeDelta::from_micros(cooldown_us as i64),
-            opens: 0,
-            outage_span: SpanId::NONE,
+            cooldown,
+            trips: 0,
         }
     }
 
-    /// Whether a regular (non-hedged) read may use this tier now. An open
-    /// breaker whose cooldown has expired transitions to half-open and lets
-    /// one probe through.
-    fn allows(&mut self, now: TimePoint) -> bool {
-        match self.state {
-            BState::Closed | BState::HalfOpen => true,
-            BState::Open { until } => {
-                if now >= until {
-                    self.state = BState::HalfOpen;
-                    true
-                } else {
-                    false
-                }
-            }
+    /// Whether a call may go through at `now`. An open breaker whose
+    /// cooldown has expired turns half-open and lets a probe through.
+    pub fn allows(&mut self, now: TimePoint) -> bool {
+        if self.state == BreakerState::Open && now >= self.until {
+            self.state = BreakerState::HalfOpen;
         }
+        self.state != BreakerState::Open
     }
 
-    /// Records a successful read; returns `true` when this closed a
-    /// previously open/half-open breaker (the tier just healed).
-    fn on_success(&mut self) -> bool {
-        let healed = !matches!(self.state, BState::Closed);
-        self.state = BState::Closed;
+    /// Records a success; `true` when this closed an open or half-open
+    /// breaker (the guarded resource just healed).
+    pub fn on_success(&mut self) -> bool {
+        let healed = self.state != BreakerState::Closed;
+        self.state = BreakerState::Closed;
         self.consecutive = 0;
         healed
     }
 
-    /// Records a failed read; returns `true` when this newly tripped the
-    /// breaker (closed → open). Failures while open or half-open re-arm the
-    /// cooldown without counting another trip.
-    fn on_failure(&mut self, now: TimePoint) -> bool {
+    /// Records a failure at `now`; `true` when this tripped the breaker
+    /// (closed → open).
+    pub fn on_failure(&mut self, now: TimePoint) -> bool {
         self.consecutive += 1;
-        match self.state {
-            BState::Closed => {
-                if self.consecutive >= self.threshold {
-                    self.state = BState::Open {
-                        until: now + self.cooldown,
-                    };
-                    self.opens += 1;
-                    return true;
-                }
-                false
-            }
-            BState::Open { .. } | BState::HalfOpen => {
-                self.state = BState::Open {
-                    until: now + self.cooldown,
-                };
-                false
-            }
+        let trips = self.state == BreakerState::Closed && self.consecutive >= self.threshold;
+        if trips || self.state != BreakerState::Closed {
+            self.state = BreakerState::Open;
+            self.until = now + self.cooldown;
         }
+        self.trips += u64::from(trips);
+        trips
     }
 
-    fn state(&self) -> BreakerState {
-        match self.state {
-            BState::Closed => BreakerState::Closed,
-            BState::Open { .. } => BreakerState::Open,
-            BState::HalfOpen => BreakerState::HalfOpen,
-        }
+    /// The current state (an expired cooldown shows as open until the
+    /// next [`Breaker::allows`]).
+    pub fn state(&self) -> BreakerState {
+        self.state
+    }
+
+    /// Closed → open transitions so far.
+    pub fn trips(&self) -> u64 {
+        self.trips
     }
 }
 
@@ -290,6 +274,8 @@ struct Tier {
     config: TierConfig,
     store: Box<dyn BlobStore>,
     breaker: RefCell<Breaker>,
+    /// The `tier.outage` span an open breaker keeps until it heals.
+    outage_span: Cell<SpanId>,
     resident: RefCell<Residency>,
     patches: RefCell<HashMap<Key, Vec<u8>>>,
     outages: Vec<(TimePoint, TimePoint)>,
@@ -380,7 +366,6 @@ pub struct TierStats {
 pub struct TieredBlobStore {
     tiers: Vec<Tier>,
     hedging: bool,
-    promotion: bool,
     sim_now: Cell<TimePoint>,
     tracer: Tracer,
     cost_hint_us: Cell<u64>,
@@ -417,7 +402,6 @@ impl TieredBlobStore {
         TieredBlobStore {
             tiers: Vec::new(),
             hedging: true,
-            promotion: true,
             sim_now: Cell::new(TimePoint::ZERO),
             tracer: Tracer::disabled(),
             cost_hint_us: Cell::new(0),
@@ -462,7 +446,11 @@ impl TieredBlobStore {
             TierSet::MAX_TIERS
         );
         self.tiers.push(Tier {
-            breaker: RefCell::new(Breaker::new(config.fault_threshold, config.cooldown_us)),
+            breaker: RefCell::new(Breaker::new(
+                config.fault_threshold,
+                TimeDelta::from_micros(config.cooldown_us as i64),
+            )),
+            outage_span: Cell::new(SpanId::NONE),
             config,
             store: Box::new(store),
             resident: RefCell::new(Residency::default()),
@@ -493,13 +481,6 @@ impl TieredBlobStore {
     /// off, an open breaker is only re-probed after its full cooldown.
     pub fn with_hedging(mut self, hedging: bool) -> Self {
         self.hedging = hedging;
-        self
-    }
-
-    /// Enables or disables read-through promotion into budgeted tiers
-    /// (on by default).
-    pub fn with_promotion(mut self, promotion: bool) -> Self {
-        self.promotion = promotion;
         self
     }
 
@@ -544,7 +525,7 @@ impl TieredBlobStore {
                 faults: t.faults.get(),
                 crc_failures: t.crc_failures.get(),
                 repairs: t.repairs.get(),
-                breaker_opens: t.breaker.borrow().opens,
+                breaker_opens: t.breaker.borrow().trips(),
                 hedged_probes: t.hedged_probes.get(),
                 promotions: t.promotions.get(),
                 demotions: t.demotions.get(),
@@ -652,7 +633,7 @@ impl TieredBlobStore {
                 self.tracer
                     .begin_span("tier.outage", Category::Tier, now, SpanId::NONE, None);
             self.tracer.attr(span, "tier", tier.config.name);
-            tier.breaker.borrow_mut().outage_span = span;
+            tier.outage_span.set(span);
             self.event(
                 "tier.breaker_open",
                 vec![
@@ -668,8 +649,8 @@ impl TieredBlobStore {
         Tier::bump(&tier.serves);
         let healed = tier.breaker.borrow_mut().on_success();
         if healed {
-            let span = std::mem::replace(&mut tier.breaker.borrow_mut().outage_span, SpanId::NONE);
-            self.tracer.end_span(span, now);
+            self.tracer
+                .end_span(tier.outage_span.replace(SpanId::NONE), now);
             self.event(
                 "tier.breaker_close",
                 vec![("tier", tier.config.name.into())],
@@ -808,7 +789,7 @@ impl TieredBlobStore {
             }
             self.repair_events.set(self.repair_events.get() + 1);
         }
-        if self.promotion && verified {
+        if verified {
             for ti in 0..served {
                 let tier = &self.tiers[ti];
                 let Some(budget) = tier.config.residency_budget else {
@@ -1189,6 +1170,34 @@ mod tests {
         }
         assert_eq!(store.breaker_state(0), Some(BreakerState::Open));
         assert_eq!(store.health_percent(), 50);
+    }
+
+    #[test]
+    fn breaker_failure_while_open_rearms_the_cooldown() {
+        let mut b = Breaker::new(2, TimeDelta::from_micros(100));
+        assert!(!b.on_failure(t_us(0)));
+        assert!(b.on_failure(t_us(10)), "the second failure trips");
+        assert!(!b.on_failure(t_us(50)), "failing while open is no new trip");
+        assert!(!b.allows(t_us(110)), "the cooldown now runs from 50");
+        assert!(b.allows(t_us(150)));
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert_eq!(b.trips(), 1);
+    }
+
+    #[test]
+    fn breaker_failed_half_open_probe_rearms_without_a_trip() {
+        let mut b = Breaker::new(1, TimeDelta::from_micros(100));
+        assert!(b.on_failure(t_us(0)));
+        assert!(b.allows(t_us(100)), "half-open after the cooldown");
+        assert!(!b.on_failure(t_us(100)), "a failed probe is no new trip");
+        assert_eq!(b.state(), BreakerState::Open);
+        assert!(
+            !b.allows(t_us(150)),
+            "the failed probe re-armed the cooldown"
+        );
+        assert!(b.allows(t_us(200)));
+        assert!(b.on_success(), "a good probe heals");
+        assert_eq!(b.trips(), 1);
     }
 
     #[test]

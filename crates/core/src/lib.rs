@@ -37,6 +37,7 @@ mod element;
 mod error;
 mod ids;
 mod mediatype;
+mod mix;
 mod quality;
 mod stream;
 
@@ -50,5 +51,6 @@ pub use ids::{
     BlobId, DerivationId, InterpretationId, MediaObjectId, MultimediaObjectId, SessionId,
 };
 pub use mediatype::{AttrSpec, AttrType, MediaKind, MediaType};
+pub use mix::splitmix64;
 pub use quality::{AudioQuality, QualityFactor, VideoQuality};
 pub use stream::{StreamStats, TimedStream, TimedTuple};

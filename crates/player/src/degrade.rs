@@ -24,11 +24,9 @@
 //! fault storm is fully accounted for, deterministically.
 //!
 //! Steps 1–3 exist once, here: [`fetch_layer`] (retried read + checksum),
+//! [`LayerFetch::retry_bytes`] (the price of its retries),
 //! [`ElementFate::decide`] (the ladder) and [`ElementFate::label`] are what
-//! `tbm-serve`'s event loop calls per element too. What the two callers
-//! still do differently is charge a retry: the player re-reads
-//! `(attempts − 1) ×` the element's fetched bytes, the server each layer's
-//! own bytes `×` that layer's extra attempts (DESIGN §6).
+//! `tbm-serve`'s event loop calls per element too.
 
 use crate::{schedule_from_interp, ElementJob, PlaybackSim, PlaybackStats};
 use tbm_blob::{BlobStore, ByteSpan, ReadCtx, RetryPolicy};
@@ -139,6 +137,14 @@ pub struct LayerFetch {
     pub attempts: u32,
     /// Backoff spent between attempts, in microseconds.
     pub backoff_us: u64,
+}
+
+impl LayerFetch {
+    /// The retry price of the layer at `span`: its bytes re-read once per
+    /// attempt after the first (DESIGN §6).
+    pub fn retry_bytes(&self, span: ByteSpan) -> u64 {
+        span.len * u64::from(self.attempts.saturating_sub(1))
+    }
 }
 
 /// Reads one placement layer, retrying transient errors under `retry`, and
@@ -271,14 +277,15 @@ impl ResilientPlayer {
             let layers = entry.placement.layers();
             let sums = &entry.checksums;
 
-            // Fetch every layer, stopping at the first bad one.
-            let mut bytes_fetched = 0u64;
+            // Fetch every layer, stopping at the first bad one: the bytes
+            // pulled off storage, retries' re-reads included.
+            let mut bytes_read = 0u64;
             let mut backoff_us = 0u64;
             let mut attempts_max = 1u32;
             let mut intact_layers = 0usize;
             for (li, &span) in layers.iter().enumerate() {
                 let f = fetch_layer(store, &self.retry, blob, span, sums.get(li).copied(), None);
-                bytes_fetched += span.len;
+                bytes_read += span.len + f.retry_bytes(span);
                 backoff_us += f.backoff_us;
                 attempts_max = attempts_max.max(f.attempts);
                 if f.bytes.is_none() {
@@ -313,12 +320,11 @@ impl ResilientPlayer {
                 );
             }
 
-            // Service cost: the bytes actually pulled off storage (including
-            // extra attempts' re-reads), plus backoff and any latency hints,
-            // as a penalty. A repeated element re-presents cached bytes.
-            let extra_reads = (attempts_max - 1) as u64 * bytes_fetched.min(job.bytes);
+            // Service cost: the bytes read, plus backoff and any latency
+            // hints as a penalty. A repeated element re-presents cached
+            // bytes.
             jobs.push(ElementJob {
-                bytes: bytes_fetched + extra_reads,
+                bytes: bytes_read,
                 ..*job
             });
             let hint_us = store.drain_cost_hint_us();
@@ -442,6 +448,26 @@ mod tests {
         for (fate, label) in labels {
             assert_eq!(fate.label(), label);
         }
+    }
+
+    #[test]
+    fn retry_price_is_each_layers_bytes_per_extra_attempt() {
+        // A three-layer element (100 + 200 + 400 B) whose second layer took
+        // three attempts.
+        let layers = [(0, 100), (100, 200), (300, 400)].map(|(at, len)| ByteSpan::new(at, len));
+        let fetches = [1, 3, 1].map(|attempts| LayerFetch {
+            bytes: None,
+            attempts,
+            backoff_us: 0,
+        });
+        let price: u64 = fetches
+            .iter()
+            .zip(layers)
+            .map(|(f, span)| f.retry_bytes(span))
+            .sum();
+        // Only the retried layer is re-read, once per extra attempt — not
+        // the whole element once per extra attempt of its worst layer.
+        assert_eq!(price, 2 * 200);
     }
 
     #[test]

@@ -15,37 +15,37 @@
 //! * **Transport.** Every request crosses the hosting node's [`Link`]:
 //!   it pays bandwidth + propagation + seeded jitter, and can be lost to a
 //!   seeded coin or a scripted partition window. Lost sends are retried on
-//!   the fleet's [`RetryPolicy`] schedule (same backoff shape the storage
-//!   layer uses); requests that exhaust it fail with
-//!   [`FleetError::Unreachable`].
+//!   the storage layer's [`RetryPolicy`] schedule; requests that exhaust
+//!   it fail with [`FleetError::Unreachable`].
 //! * **Node faults.** A [`NodeFaultPlan`] scripts crashes,
 //!   restarts-with-salvage and brownout windows. Unscripted unreachability
-//!   (loss storms, partitions) trips a per-node circuit breaker — the same
-//!   closed → open → half-open shape `TieredBlobStore` runs per tier —
-//!   and a deterministic ping probes half-open nodes back to life.
+//!   (loss storms, partitions) trips a per-node [`Breaker`] — the one
+//!   `TieredBlobStore` runs per tier — and a deterministic ping probes
+//!   half-open nodes back to life.
 //!
-//! **Live migration.** Three triggers move a shard: its node crashed (the
-//! shards re-place onto survivors), its node's breaker tripped (same), or
-//! the node-level skew gauge crossed the rebalance threshold under load.
-//! A migration charges a *catalog handoff*: object metadata plus the
-//! shard's BLOB payload transfer over the target's link (metadata only
-//! when the target holds a salvaged copy from an earlier stay). The
-//! shard's channel is stalled until the handoff completes, and the stall
-//! is attributed to the `node-loss` miss cause — so surviving a node
-//! failure is visible in the attribution partition instead of polluting
-//! admission over-commit. When a crashed node restarts, its home shards
-//! migrate back (salvage makes that cheap) and capacity-degraded sessions
-//! are upgraded back to full fidelity.
+//! **Live migration.** Two triggers move a shard on their own: its node
+//! crashed (the shards re-place onto survivors) or its node's breaker
+//! tripped (same). Rebalancing on load skew is the remediation plane's
+//! lever ([`Fleet::rebalance_on_skew`]), pulled only when a playbook is
+//! attached. A migration charges a *catalog handoff*: object metadata
+//! plus the shard's BLOB payload transfer over the target's link
+//! (metadata only when the target holds a salvaged copy from an earlier
+//! stay). The shard's channel is stalled until the handoff completes, and
+//! the stall is attributed to the `node-loss` miss cause — so surviving a
+//! node failure is visible in the attribution partition instead of
+//! polluting admission over-commit. When a crashed node restarts, its
+//! home shards migrate back (salvage makes that cheap) and
+//! capacity-degraded sessions are upgraded back to full fidelity.
 //!
 //! With migration disabled ([`Fleet::with_migration`]`(false)`) a crashed
 //! node takes its shards' open sessions down with it
 //! ([`Server::shed_pending`]) — the no-migration baseline the §fleet
 //! experiment holds the migrating fleet against.
 //!
-//! Determinism carries over wholesale: links draw jitter and loss from
-//! counted splitmix64 streams, fault plans are scripted on the simulated
-//! clock, and scheduling stays exact-rational — same seed, byte-identical
-//! stats, metrics and traces.
+//! Determinism carries over wholesale: links draw jitter and loss as
+//! splitmix64 of a seed and a draw counter, fault plans are scripted on
+//! the simulated clock, and scheduling stays exact-rational — same seed,
+//! byte-identical stats, metrics and traces.
 
 use crate::{
     shard_of, Capacity, Request, Response, ServeError, Server, Session, ShardedDb, ShardedServer,
@@ -54,8 +54,8 @@ use crate::{
 use std::collections::BTreeSet;
 use std::fmt;
 use std::io;
-use tbm_blob::{BlobStore, MemBlobStore, RetryPolicy};
-use tbm_core::SessionId;
+use tbm_blob::{BlobStore, Breaker, BreakerState, MemBlobStore, RetryPolicy, RetryReport};
+use tbm_core::{splitmix64, SessionId};
 use tbm_obs::{
     attribute, chrome_trace_to_writer, AttributionReport, Category, MetricsRegistry, SpanId,
     TraceSnapshot, Tracer,
@@ -82,9 +82,8 @@ const G_FLEET_SKEW: &str = "fleet.skew";
 const METADATA_BYTES_PER_OBJECT: u64 = 512;
 /// Request-plane message size charged against a link per delivery attempt.
 const REQUEST_BYTES: u64 = 256;
-/// Lost deliveries are retried on the storage [`RetryPolicy`] shape: four
-/// attempts in all, doubling backoff from 200 µs, a 50 ms budget, no
-/// jitter.
+/// Lost deliveries are retried on the storage [`RetryPolicy`] schedule:
+/// four attempts in all, doubling backoff from 200 µs, a 50 ms budget.
 const TRANSPORT_RETRY: RetryPolicy = RetryPolicy::new(3);
 /// A node's breaker trips after this many consecutive lost deliveries ...
 const BREAKER_THRESHOLD: u32 = 2;
@@ -92,17 +91,6 @@ const BREAKER_THRESHOLD: u32 = 2;
 const BREAKER_COOLDOWN_MS: i64 = 200;
 /// Crash-detection delay charged on top of a failover handoff.
 const DETECTION_US: u64 = 50_000;
-
-/// The same finalizer `tbm-blob`'s fault injector uses, copied rather than
-/// shared: link jitter must not perturb (or be perturbed by) storage fault
-/// draws, so the two keep separate streams of the same generator.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A simulated network link onto one node: bandwidth, propagation delay,
 /// seeded jitter, a seeded loss coin and scripted partition windows.
@@ -247,87 +235,17 @@ impl NodeFaultPlan {
     }
 }
 
-/// Node circuit-breaker state — the [`tbm_blob::TieredBlobStore`] breaker
-/// shape lifted to the node level. Closed while deliveries succeed; opens
-/// after `threshold` consecutive losses (shards fail over); half-open
-/// after the cooldown, when one successful ping closes it again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerState {
-    Closed,
-    Open { until: TimePoint },
-    HalfOpen,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct NodeBreaker {
-    state: BreakerState,
-    consecutive: u32,
-    threshold: u32,
-    cooldown: TimeDelta,
-    trips: u64,
-}
-
-impl NodeBreaker {
-    fn new(threshold: u32, cooldown: TimeDelta) -> NodeBreaker {
-        NodeBreaker {
-            state: BreakerState::Closed,
-            consecutive: 0,
-            threshold: threshold.max(1),
-            cooldown,
-            trips: 0,
-        }
-    }
-
-    /// Whether a probe may go through at `now` (flips open → half-open
-    /// once the cooldown expires).
-    fn allows_probe(&mut self, now: TimePoint) -> bool {
-        if let BreakerState::Open { until } = self.state {
-            if now >= until {
-                self.state = BreakerState::HalfOpen;
-            }
-        }
-        !matches!(self.state, BreakerState::Open { .. })
-    }
-
-    /// Records a successful delivery; `true` when this heals an open or
-    /// half-open breaker.
-    fn on_success(&mut self) -> bool {
-        self.consecutive = 0;
-        let healed = self.state != BreakerState::Closed;
-        self.state = BreakerState::Closed;
-        healed
-    }
-
-    /// Records a lost delivery; `true` when this trips the breaker.
-    fn on_failure(&mut self, now: TimePoint) -> bool {
-        self.consecutive += 1;
-        let should_trip =
-            self.consecutive >= self.threshold && !matches!(self.state, BreakerState::Open { .. });
-        if should_trip {
-            self.state = BreakerState::Open {
-                until: now + self.cooldown,
-            };
-            self.trips += 1;
-        }
-        should_trip
-    }
-
-    fn reset(&mut self) {
-        self.state = BreakerState::Closed;
-        self.consecutive = 0;
-    }
-}
-
-/// One simulated node: a name, a [`Link`], a [`NodeFaultPlan`], a breaker
-/// and liveness/health state. The shards a node hosts are owned by the
-/// [`PlacementService`], not the node — placement is the only thing a
-/// migration changes.
+/// One simulated node: a name, a [`Link`], a [`NodeFaultPlan`], a
+/// [`Breaker`] over its deliveries (open: its shards fail over; a
+/// successful ping closes it) and liveness/health state. The shards a node
+/// hosts are owned by the [`PlacementService`], not the node — placement
+/// is the only thing a migration changes.
 #[derive(Debug)]
 pub struct Node {
     name: String,
     link: Link,
     plan: NodeFaultPlan,
-    breaker: NodeBreaker,
+    breaker: Breaker,
     up: bool,
     health: u8,
     crashes: u64,
@@ -370,7 +288,7 @@ impl Node {
 
     /// Circuit-breaker trips (unscripted unreachability) so far.
     pub fn breaker_trips(&self) -> u64 {
-        self.breaker.trips
+        self.breaker.trips()
     }
 }
 
@@ -557,7 +475,7 @@ pub struct FleetStats {
 impl FleetStats {
     /// Node-level load skew in percent over *up* nodes: how far the
     /// hottest node's served-element count sits above the per-node mean —
-    /// the `fleet.skew` gauge and the rebalance trigger.
+    /// the `fleet.skew` gauge.
     pub fn skew_percent(&self) -> i64 {
         skew_percent(
             self.per_node
@@ -633,9 +551,6 @@ pub struct Fleet<S: BlobStore = MemBlobStore> {
     nodes: Vec<Node>,
     placement: PlacementService,
     node_capacity: Capacity,
-    rebalance_skew: Option<i64>,
-    rebalance_cooldown: TimeDelta,
-    last_rebalance: Option<TimePoint>,
     /// Fleet-wide admission derate in percent (100 = none): every node's
     /// capacity is additionally derated by this factor — the remediation
     /// plane's `DerateAdmission` lever.
@@ -657,8 +572,9 @@ impl<S: BlobStore> Fleet<S> {
     ///
     /// Defaults: 125 MB/s links seeded from the routing seed, 4 delivery
     /// attempts, breaker trip after 2 consecutive losses with a 200 ms
-    /// cooldown, rebalance at 150% skew with a 500 ms cooldown, migration
-    /// on, 50 ms crash detection.
+    /// cooldown, migration on, 50 ms crash detection. Nothing rebalances
+    /// on load skew unless a remediation playbook pulls
+    /// [`Fleet::rebalance_on_skew`].
     pub fn new(db: ShardedDb<S>, nodes: usize, node_capacity: Capacity) -> Fleet<S> {
         assert!(nodes > 0, "a fleet needs at least one node");
         let seed = db.seed();
@@ -669,7 +585,7 @@ impl<S: BlobStore> Fleet<S> {
                 name: format!("node{i}"),
                 link: Link::new(125_000_000).with_seed(splitmix64(seed ^ (i as u64 + 1))),
                 plan: NodeFaultPlan::default(),
-                breaker: NodeBreaker::new(
+                breaker: Breaker::new(
                     BREAKER_THRESHOLD,
                     TimeDelta::from_millis(BREAKER_COOLDOWN_MS),
                 ),
@@ -685,9 +601,6 @@ impl<S: BlobStore> Fleet<S> {
             nodes,
             placement,
             node_capacity,
-            rebalance_skew: Some(150),
-            rebalance_cooldown: TimeDelta::from_millis(500),
-            last_rebalance: None,
             admission_derate: 100,
             migration: true,
             clock: TimePoint::ZERO,
@@ -753,14 +666,6 @@ impl<S: BlobStore> Fleet<S> {
         }
         self.events.sort();
         self.nodes[node].plan = plan;
-        self
-    }
-
-    /// Builder: sets the rebalance trigger — migrate the hottest shard
-    /// off the hottest node when node skew exceeds `percent` (`None`
-    /// disables skew rebalancing).
-    pub fn with_rebalance_skew(mut self, percent: Option<i64>) -> Fleet<S> {
-        self.rebalance_skew = percent;
         self
     }
 
@@ -889,19 +794,15 @@ impl<S: BlobStore> Fleet<S> {
         }
         self.advance(at);
         self.probe_nodes(at);
-        if self.migration {
-            self.maybe_rebalance(at);
-        }
         let shard = self.shards.route(&request)?;
 
         // Transport: deliver over the hosting node's link, retrying on the
-        // fleet's RetryPolicy schedule. Placement is re-read per attempt,
-        // so a breaker-tripped failover mid-loop reroutes the retry.
-        let mut attempt = 0u32;
-        let mut backoff_us = TRANSPORT_RETRY.base_backoff_us;
-        let mut spent_us = 0u64;
+        // TRANSPORT_RETRY schedule. Placement is re-read per attempt, so a
+        // breaker-tripped failover mid-loop reroutes the retry.
+        let mut tries = RetryReport::default();
         loop {
-            let send_at = at + TimeDelta::from_micros(spent_us as i64);
+            tries.attempts += 1;
+            let send_at = at + TimeDelta::from_micros(tries.backoff_spent_us as i64);
             let node = self.placement.node_of_shard(shard);
             self.metrics.inc(M_SENT, 1);
             let delivered = if !self.nodes[node].up {
@@ -914,7 +815,7 @@ impl<S: BlobStore> Fleet<S> {
                     if self.nodes[node].breaker.on_success() {
                         self.node_recovered(node, send_at);
                     }
-                    if attempt > 0 {
+                    if tries.attempts > 1 {
                         self.metrics.inc(M_RETRIED, 1);
                     }
                     // Transport is ordered per shard: a message cannot
@@ -956,19 +857,14 @@ impl<S: BlobStore> Fleet<S> {
                             self.evacuate(node, send_at, "breaker");
                         }
                     }
-                    if attempt >= TRANSPORT_RETRY.max_retries
-                        || spent_us.saturating_add(backoff_us) > TRANSPORT_RETRY.backoff_budget_us
-                    {
+                    if TRANSPORT_RETRY.next_backoff(&mut tries).is_none() {
                         self.clock = self.clock.max(at);
                         return Err(FleetError::Unreachable {
                             node: self.placement.node_of_shard(shard),
                             shard,
-                            attempts: attempt + 1,
+                            attempts: tries.attempts,
                         });
                     }
-                    spent_us += backoff_us;
-                    backoff_us = backoff_us.saturating_mul(2).max(1);
-                    attempt += 1;
                 }
             }
         }
@@ -1039,7 +935,7 @@ impl<S: BlobStore> Fleet<S> {
                     hosted,
                     crashes: n.crashes,
                     restarts: n.restarts,
-                    breaker_trips: n.breaker.trips,
+                    breaker_trips: n.breaker.trips(),
                     elements_served,
                 }
             })
@@ -1135,7 +1031,7 @@ impl<S: BlobStore> Fleet<S> {
                 }
                 self.nodes[ev.node].up = true;
                 self.nodes[ev.node].health = 100;
-                self.nodes[ev.node].breaker.reset();
+                self.nodes[ev.node].breaker.on_success();
                 self.nodes[ev.node].restarts += 1;
                 self.metrics.inc(M_RESTARTS, 1);
                 self.tracer.event(
@@ -1198,11 +1094,8 @@ impl<S: BlobStore> Fleet<S> {
             if !self.nodes[node].up {
                 continue;
             }
-            let tripped = matches!(
-                self.nodes[node].breaker.state,
-                BreakerState::Open { .. } | BreakerState::HalfOpen
-            );
-            if !tripped || !self.nodes[node].breaker.allows_probe(at) {
+            let breaker = &mut self.nodes[node].breaker;
+            if breaker.state() == BreakerState::Closed || !breaker.allows(at) {
                 continue;
             }
             self.metrics.inc(M_SENT, 1);
@@ -1213,6 +1106,8 @@ impl<S: BlobStore> Fleet<S> {
                     }
                 }
                 None => {
+                    // A failed half-open probe re-arms the cooldown; only
+                    // closed → open is a trip, so there is none to count.
                     self.metrics.inc(M_LOST, 1);
                     self.nodes[node].breaker.on_failure(at);
                 }
@@ -1357,24 +1252,6 @@ impl<S: BlobStore> Fleet<S> {
         }
     }
 
-    /// Migrates the hottest shard off the hottest node when node-level
-    /// skew exceeds the configured threshold (cooldown-limited so one hot
-    /// minute doesn't thrash placement). The request-plane face of
-    /// [`Fleet::rebalance_on_skew`].
-    fn maybe_rebalance(&mut self, at: TimePoint) {
-        let Some(threshold) = self.rebalance_skew else {
-            return;
-        };
-        if let Some(last) = self.last_rebalance {
-            if at - last < self.rebalance_cooldown {
-                return;
-            }
-        }
-        if self.rebalance_on_skew(at, threshold).is_some() {
-            self.last_rebalance = Some(at);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Guarded fleet actions (the remediation plane's entry points)
     // ------------------------------------------------------------------
@@ -1495,8 +1372,8 @@ impl<S: BlobStore> Fleet<S> {
         self.probe_nodes(at);
         let mut moves = Vec::new();
         for node in 0..self.nodes.len() {
-            let unhealthy = !self.nodes[node].up
-                || matches!(self.nodes[node].breaker.state, BreakerState::Open { .. });
+            let unhealthy =
+                !self.nodes[node].up || self.nodes[node].breaker.state() == BreakerState::Open;
             if !unhealthy {
                 continue;
             }
@@ -1624,15 +1501,48 @@ mod tests {
 
     #[test]
     fn breaker_trips_and_heals_like_the_tier_breaker() {
-        let mut b = NodeBreaker::new(2, TimeDelta::from_millis(100));
+        // A node's breaker is the tier's, at the node's threshold/cooldown.
+        let mut b = Breaker::new(
+            BREAKER_THRESHOLD,
+            TimeDelta::from_millis(BREAKER_COOLDOWN_MS),
+        );
         assert!(!b.on_failure(t(0)), "one failure is below threshold");
         assert!(b.on_failure(t(1)), "second consecutive failure trips");
-        assert_eq!(b.trips, 1);
-        assert!(!b.allows_probe(t(50)), "open until cooldown expires");
-        assert!(b.allows_probe(t(101)), "half-open after cooldown");
+        assert_eq!(b.trips(), 1);
+        assert!(!b.allows(t(150)), "open until cooldown expires");
+        assert!(b.allows(t(201)), "half-open after cooldown");
         assert!(b.on_success(), "probe success heals");
-        assert_eq!(b.state, BreakerState::Closed);
+        assert_eq!(b.state(), BreakerState::Closed);
         assert!(!b.on_success(), "already closed");
+    }
+
+    #[test]
+    fn transport_retries_follow_the_storage_schedule() {
+        // Every attempt fails: the backoffs taken, and the final tally.
+        let schedule = |policy: RetryPolicy| {
+            let mut tries = RetryReport::default();
+            let mut steps = Vec::new();
+            loop {
+                tries.attempts += 1;
+                match policy.next_backoff(&mut tries) {
+                    Some(step) => steps.push(step),
+                    None => return (steps, tries),
+                }
+            }
+        };
+        // Four attempts in all: backoffs of 200, 400 and 800 µs, then none.
+        let (steps, tries) = schedule(TRANSPORT_RETRY);
+        assert_eq!(steps, [200, 400, 800]);
+        assert_eq!((tries.attempts, tries.backoff_spent_us), (4, 1_400));
+        // The 50 ms budget stops a longer schedule before its retries run
+        // out: 200 · (2⁷ − 1) = 25 400 µs spent, and 25 600 more would
+        // overrun it.
+        let (steps, tries) = schedule(RetryPolicy {
+            max_retries: 20,
+            ..TRANSPORT_RETRY
+        });
+        assert_eq!(steps.len(), 7);
+        assert_eq!((tries.attempts, tries.backoff_spent_us), (8, 25_400));
     }
 
     #[test]

@@ -42,7 +42,8 @@ use tbm_player::{fetch_layer, DegradationPolicy, ElementFate};
 use tbm_time::{Rational, TimeDelta, TimePoint};
 
 // Registry metric names. Counters mirror the snapshot fields of
-// `ServerStats`; the histograms back its lateness/service distributions.
+// `ServerStats`; the histograms back its lateness/service distributions
+// (lateness recorded apart by fidelity, its total being their merge).
 const M_ADMITTED: &str = "serve.sessions.admitted";
 const M_ADMITTED_DEGRADED: &str = "serve.sessions.admitted_degraded";
 const M_REJECTED: &str = "serve.sessions.rejected";
@@ -57,7 +58,6 @@ const M_FORCED: &str = "serve.sessions.force_degraded";
 const M_FAULTS: &str = "serve.faults.detected";
 const M_BYTES_READ: &str = "storage.bytes_read";
 const M_BATCHES: &str = "serve.batches";
-const H_LATENESS: &str = "serve.lateness_us";
 const H_LATENESS_FULL: &str = "serve.lateness_us.full";
 const H_LATENESS_DEGRADED: &str = "serve.lateness_us.degraded";
 const H_SERVICE: &str = "serve.service_us";
@@ -84,7 +84,6 @@ struct MetricIds {
     faults: CounterId,
     bytes_read: CounterId,
     batches: CounterId,
-    lateness: HistogramId,
     lateness_full: HistogramId,
     lateness_degraded: HistogramId,
     service: HistogramId,
@@ -109,7 +108,6 @@ impl MetricIds {
             faults: m.register_counter(M_FAULTS),
             bytes_read: m.register_counter(M_BYTES_READ),
             batches: m.register_counter(M_BATCHES),
-            lateness: m.register_histogram(H_LATENESS, &LATENCY_BUCKETS_US),
             lateness_full: m.register_histogram(H_LATENESS_FULL, &LATENCY_BUCKETS_US),
             lateness_degraded: m.register_histogram(H_LATENESS_DEGRADED, &LATENCY_BUCKETS_US),
             service: m.register_histogram(H_SERVICE, &LATENCY_BUCKETS_US),
@@ -616,6 +614,8 @@ impl<S: BlobStore> Server<S> {
         let dropped_elements = m.counter(M_DROPPED) as usize;
         let repaired_elements = m.counter(M_REPAIRED) as usize;
         let faults_detected = m.counter(M_FAULTS) as usize;
+        let mut lateness = m.histogram_or_empty(H_LATENESS_FULL, &LATENCY_BUCKETS_US);
+        lateness.merge(&m.histogram_or_empty(H_LATENESS_DEGRADED, &LATENCY_BUCKETS_US));
         // Every detected fault must be resolved exactly once: out of the
         // degradation ladder as a degraded or dropped element, or healed by
         // a cross-tier repair that left the element intact.
@@ -642,7 +642,7 @@ impl<S: BlobStore> Server<S> {
             cache: self.cache.stats(),
             storage_bytes_read: m.counter(M_BYTES_READ),
             committed_bps: self.committed_bps(),
-            lateness: m.histogram_or_empty(H_LATENESS, &LATENCY_BUCKETS_US),
+            lateness,
             service: m.histogram_or_empty(H_SERVICE, &LATENCY_BUCKETS_US),
         }
     }
@@ -1493,7 +1493,7 @@ impl<S: BlobStore> Server<S> {
             });
             let read = fetch_layer(store, &RETRY, blob, layer_span, expected_crc, slack_us);
             e.bytes_first += layer_span.len;
-            e.bytes_retry += layer_span.len * read.attempts.saturating_sub(1) as u64;
+            e.bytes_retry += read.retry_bytes(layer_span);
             e.backoff_us += read.backoff_us;
             e.attempts_max = e.attempts_max.max(read.attempts);
             let Some(bytes) = read.bytes else {
@@ -1593,11 +1593,11 @@ impl<S: BlobStore> Server<S> {
         if e.lateness > TimeDelta::ZERO {
             s.stats.misses += 1;
             self.metrics.inc_at(ids.misses, 1);
-            self.metrics.observe_at(ids.lateness, lateness_us as u64);
-            // The fidelity split feeds the telemetry plane: degraded
+            // Recorded by fidelity — the telemetry plane's split: degraded
             // sessions' lateness is a different population (base-layer-only
             // admissions under pressure), and queries like "p99 lateness
-            // for degraded sessions" need the two recorded apart.
+            // for degraded sessions" need the two apart. `stats()` merges
+            // them back into the total.
             let by_fidelity = if s.plan.layers_cap.is_some() {
                 ids.lateness_degraded
             } else {

@@ -59,24 +59,40 @@ for exp in exp_fig1 exp_fig2 exp_fig4 exp_fig5 exp_tab1 exp_claims; do
 done
 
 echo "==> duplication audit"
+# `once PATTERN DIR...` fails when PATTERN is written more than once under
+# the DIRs (`perf` aside, which keeps its own fixtures).
+once() {
+    local hits
+    hits="$(grep -rnF "$1" --include='*.rs' --exclude-dir=perf "${@:2}" || true)"
+    [ "$(echo "$hits" | grep -c .)" -le 1 ] ||
+        { echo "duplication audit: \`$1\` is written more than once:" >&2; echo "$hits" >&2; exit 1; }
+}
 # Set-up lives once, in `tbm_bench::scenario`: the stream-rename idiom and
 # the balanced-names probe may not reappear in a test, example or `exp_*`.
 for idiom in 'add_stream(name, stream' 'let mut by_shard'; do
-    hits="$(grep -rnF "$idiom" --include='*.rs' --exclude-dir=perf tests examples crates/bench/src || true)"
-    [ "$(echo "$hits" | grep -c .)" -le 1 ] ||
-        { echo "duplication audit: \`$idiom\` is written more than once:" >&2; echo "$hits" >&2; exit 1; }
+    once "$idiom" tests examples crates/bench/src
+done
+# The seeded mixer and the circuit breaker live once (`tbm-core`,
+# `tbm-blob`); every layer above reuses them.
+for def in 'fn splitmix64' 'enum BreakerState'; do
+    once "$def" crates/*/src
 done
 
 echo "==> knob audit"
-# A public builder or setter of the serving core that nothing outside the
-# crate sets is a constant, not an option: tests, examples, `exp_*`,
-# `tbm-query` and `perf` all count as callers.
+# A public builder or setter that nothing outside its crate sets is a
+# constant, not an option: tests, examples, `exp_*`, the other crates and
+# `perf` all count as callers. `audit CRATE FILE...` checks the FILEs'.
 unset_knobs=0
-for knob in $(grep -ohE 'pub fn (with|set)_[a-z_]+' \
-    crates/serve/src/{server,shard,fleet,capacity}.rs | awk '{print $3}' | sort -u); do
-    grep -rqE "[.:]$knob\(" --include='*.rs' --exclude-dir=serve tests examples crates ||
-        { echo "knob audit: $knob has no call site outside crates/serve/src" >&2; unset_knobs=1; }
-done
+audit() {
+    local knob
+    for knob in $(grep -ohE 'pub fn (with|set)_[a-z_]+' "${@:2}" | awk '{print $3}' | sort -u); do
+        grep -rqE "[.:]$knob\(" --include='*.rs' --exclude-dir="$1" tests examples crates ||
+            { echo "knob audit: $knob has no call site outside crates/$1/src" >&2; unset_knobs=1; }
+    done
+}
+audit serve crates/serve/src/{server,shard,fleet,capacity}.rs
+audit blob crates/blob/src/{fault,tiered}.rs
+audit player crates/player/src/*.rs
 [ "$unset_knobs" = 0 ]
 
 echo "==> benchmark smoke"

@@ -196,36 +196,46 @@ fn same_seed_fleet_storms_replay_byte_identically() {
 
 #[test]
 fn partition_trips_the_breaker_and_fails_the_shards_over() {
-    // Node 1's link is partitioned from 1 s to 2 s. The first request in
-    // the window loses twice, trips the breaker, and the mid-retry-loop
+    // Node 1's link is partitioned from 1 s. The first request in the
+    // window loses twice, trips the breaker, and the mid-retry-loop
     // re-route lands it on the survivor — the request itself succeeds.
-    let names = names(4);
-    let seed = 0xACE;
-    let db = fleet_db(&names, 4, seed, &clean_plans(4, seed));
-    let link = Link::new(125_000_000).with_partition(t(1_000), t(2_000));
-    let mut fleet = Fleet::new(db, 2, Capacity::new(400_000_000).admit_all())
-        .with_cache_budget(16 << 20)
-        .with_link(1, link);
-    let reachable = "failover must keep every open reachable";
-    let opened = wave(
-        |at, r| Some(fleet.request(at, r).expect(reachable)),
-        names.iter().cycle().take(8),
-        400,
-    );
-    let ids: Vec<SessionId> = opened
-        .iter()
-        .map(|a| a.session.expect("ample capacity admits"))
-        .collect();
-    let stats = fleet.finish();
-    fleet.check_invariants().unwrap();
-    assert!(
-        stats.per_node[1].breaker_trips > 0,
-        "the partition must trip node 1's breaker"
-    );
-    assert!(stats.migrations > 0, "tripping must evacuate the shards");
-    assert!(stats.transport_lost > 0);
-    assert_eq!(stats.shards.global.dropped_elements, 0);
-    assert_eq!(stats.shards.global.finished_sessions, ids.len());
+    // Ending at 2.7 s, the window also outlasts a half-open probe, which
+    // fails: that re-arms the cooldown and is no second trip.
+    for until_ms in [2_000, 2_700] {
+        let names = names(4);
+        let seed = 0xACE;
+        let db = fleet_db(&names, 4, seed, &clean_plans(4, seed));
+        let link = Link::new(125_000_000).with_partition(t(1_000), t(until_ms));
+        let mut fleet = Fleet::new(db, 2, Capacity::new(400_000_000).admit_all())
+            .with_cache_budget(16 << 20)
+            .with_link(1, link);
+        let reachable = "failover must keep every open reachable";
+        let opened = wave(
+            |at, r| Some(fleet.request(at, r).expect(reachable)),
+            names.iter().cycle().take(8),
+            400,
+        );
+        let ids: Vec<SessionId> = opened
+            .iter()
+            .map(|a| a.session.expect("ample capacity admits"))
+            .collect();
+        let stats = fleet.finish();
+        fleet.check_invariants().unwrap();
+        assert!(
+            stats.per_node[1].breaker_trips > 0,
+            "the partition must trip node 1's breaker"
+        );
+        let trips: u64 = stats.per_node.iter().map(|n| n.breaker_trips).sum();
+        assert_eq!(
+            trips,
+            fleet.metrics().counter("fleet.node.breaker_trips"),
+            "per-node and fleet trip counts agree (partition to {until_ms} ms)"
+        );
+        assert!(stats.migrations > 0, "tripping must evacuate the shards");
+        assert!(stats.transport_lost > 0);
+        assert_eq!(stats.shards.global.dropped_elements, 0);
+        assert_eq!(stats.shards.global.finished_sessions, ids.len());
+    }
 }
 
 #[test]

@@ -180,13 +180,12 @@ fn names_owned_by(shards: usize, want: impl Fn(usize) -> bool, per_shard: usize)
 }
 
 /// A fleet of `nodes` over a tiny catalog (25 PAL frames per name, over
-/// `shards` shards), with `headroom` sessions' worth of capacity per node,
-/// one open session per name, and the request-plane auto-rebalancer off.
+/// `shards` shards), with `headroom` sessions' worth of capacity per node
+/// and one open session per name.
 fn mini_fleet(nodes: usize, shards: usize, names: &[String], headroom: u64) -> Fleet {
     let db = catalog(names, shards, SEED, (25, 48, 32));
     let full_bps = full_rate(&db, &names[0]);
     let mut fleet = Fleet::new(db, nodes, Capacity::new(full_bps * headroom).admit_all())
-        .with_rebalance_skew(None)
         .with_tracer(Tracer::new());
     for (k, name) in names.iter().enumerate() {
         let Ok(Response::Opened {
@@ -245,6 +244,25 @@ fn rebalance_guards_hold_when_there_is_nothing_safe_to_move() {
     assert_eq!(skewed.metrics().counter("fleet.migrations"), 1);
     assert_eq!(skewed.rebalance_on_skew(at, 10), None, "now balanced");
     assert_eq!(skewed.metrics().counter("fleet.migrations"), 1);
+}
+
+#[test]
+fn requests_alone_never_rebalance_a_skewed_fleet() {
+    // Three nodes over six shards, every session on node 0's shards 0 and
+    // 3: 200 % skew. With no playbook attached nothing but a fault moves a
+    // shard — the request plane only serves.
+    let mut fleet = mini_fleet(3, 6, &names_owned_by(6, |s| s % 3 == 0, 2), 6);
+    let ids: Vec<SessionId> = fleet.sessions().map(|s| s.id()).collect();
+    for (k, &id) in ids.iter().enumerate() {
+        let at = t(100 + 600 * k as i64);
+        fleet.request(at, Request::Play { session: id }).unwrap();
+    }
+    assert_eq!(fleet.metrics().counter("fleet.migrations"), 0);
+    // The positive control: the skew was there for a rebalancer to act on.
+    assert!(
+        fleet.rebalance_on_skew(t(2_000), 150).is_some(),
+        "the fixture must be skewed past 150 %"
+    );
 }
 
 /// The NodeLoadPct series key the skew rule judges.
