@@ -629,10 +629,14 @@ impl TieredBlobStore {
         }
         let tripped = tier.breaker.borrow_mut().on_failure(now);
         if tripped {
-            let span =
-                self.tracer
-                    .begin_span("tier.outage", Category::Tier, now, SpanId::NONE, None);
-            self.tracer.attr(span, "tier", tier.config.name);
+            let span = self.tracer.begin_span_with(
+                "tier.outage",
+                Category::Tier,
+                now,
+                SpanId::NONE,
+                None,
+                |a| a.put("tier", tier.config.name),
+            );
             tier.outage_span.set(span);
             self.event(
                 "tier.breaker_open",

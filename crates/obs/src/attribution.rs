@@ -36,7 +36,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::tracer::TraceRecord;
+use crate::tracer::RecordView;
 
 /// Span name the serving layer uses for one element's service interval.
 pub const ELEMENT_SPAN: &str = "element";
@@ -199,18 +199,20 @@ fn dominant(components: &[(MissCause, i64); 6]) -> (MissCause, i64) {
     best
 }
 
-/// Walks `records` and assigns exactly one [`MissCause`] to every element
-/// span whose [`ATTR_LATENESS_US`] is positive. See the
-/// [module docs](self) for the classification rules.
-pub fn attribute(records: &[TraceRecord]) -> AttributionReport {
+/// Walks `records` — a snapshot's (`&snapshot.records`) or the live ring's
+/// ([`TraceView::records`](crate::TraceView::records)) — and assigns
+/// exactly one [`MissCause`] to every element span whose
+/// [`ATTR_LATENESS_US`] is positive. See the [module docs](self) for the
+/// classification rules.
+pub fn attribute<R: RecordView>(records: impl IntoIterator<Item = R>) -> AttributionReport {
     let mut last_cause: BTreeMap<u64, MissCause> = BTreeMap::new();
     let mut misses = Vec::new();
     for rec in records {
-        if rec.name != ELEMENT_SPAN {
+        if rec.name() != ELEMENT_SPAN {
             continue;
         }
         let lateness = rec.attr_i64(ATTR_LATENESS_US);
-        let session = rec.session.unwrap_or(0);
+        let session = rec.session().unwrap_or(0);
         if lateness <= 0 {
             // An on-time element breaks the knock-on chain: later misses in
             // this session are not "inherited" across it.
@@ -233,7 +235,7 @@ pub fn attribute(records: &[TraceRecord]) -> AttributionReport {
         };
         last_cause.insert(session, cause);
         misses.push(MissAttribution {
-            span: rec.id,
+            span: rec.id(),
             session,
             element: rec.attr_i64(ATTR_ELEMENT_INDEX),
             lateness_us: lateness,
@@ -256,18 +258,19 @@ mod tests {
     }
 
     fn element(tracer: &Tracer, session: u64, index: i64, ms: i64, attrs: &[(&'static str, i64)]) {
-        let span = tracer.begin_span(
+        let span = tracer.begin_span_with(
             ELEMENT_SPAN,
             Category::Serve,
             tp(ms),
             SpanId::NONE,
             Some(session),
+            |a| a.put(ATTR_ELEMENT_INDEX, index),
         );
-        tracer.attr(span, ATTR_ELEMENT_INDEX, index);
-        for &(key, value) in attrs {
-            tracer.attr(span, key, value);
-        }
-        tracer.end_span(span, tp(ms + 1));
+        tracer.end_span_with(span, tp(ms + 1), |a| {
+            for &(key, value) in attrs {
+                a.put(key, value);
+            }
+        });
     }
 
     #[test]
@@ -501,8 +504,7 @@ mod tests {
         let tracer = Tracer::new();
         element(&tracer, 1, 0, 0, &[(ATTR_LATENESS_US, 0)]);
         let other = tracer.begin_span("decode", Category::Decode, tp(1), SpanId::NONE, Some(1));
-        tracer.attr(other, ATTR_LATENESS_US, 999i64);
-        tracer.end_span(other, tp(2));
+        tracer.end_span_with(other, tp(2), |a| a.put(ATTR_LATENESS_US, 999i64));
         let report = attribute(&tracer.snapshot().records);
         assert_eq!(report.total(), 0);
     }

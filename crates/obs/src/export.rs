@@ -352,9 +352,10 @@ mod tests {
     fn sample() -> TraceSnapshot {
         let tracer = Tracer::new();
         let root = tracer.begin_span("session", Category::Session, tp(0), SpanId::NONE, Some(3));
-        let child = tracer.begin_span("serve", Category::Serve, tp(10), root, Some(3));
-        tracer.attr(child, "lateness_us", 250u64);
-        tracer.attr(child, "cause", "retry-storm");
+        let child = tracer.begin_span_with("serve", Category::Serve, tp(10), root, Some(3), |a| {
+            a.put("lateness_us", 250u64);
+            a.put("cause", "retry-storm");
+        });
         tracer.event(
             "fault.transient",
             Category::Fault,

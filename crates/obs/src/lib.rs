@@ -27,6 +27,8 @@
 pub mod attribution;
 pub mod export;
 pub mod metrics;
+#[cfg(test)]
+mod reference;
 pub mod tracer;
 
 pub use attribution::{
@@ -40,6 +42,6 @@ pub use metrics::{
     MAX_BUCKETS,
 };
 pub use tracer::{
-    merge_snapshots, micros, micros_of, AttrValue, Category, RecordKind, SpanId, TraceRecord,
-    TraceSnapshot, Tracer, DEFAULT_TRACE_CAPACITY,
+    merge_snapshots, micros, micros_of, AttrValue, Attrs, Category, RecordKind, RecordRef,
+    RecordView, SpanId, TraceRecord, TraceSnapshot, TraceView, Tracer, DEFAULT_TRACE_CAPACITY,
 };

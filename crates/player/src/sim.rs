@@ -80,57 +80,72 @@ impl PlaybackSim {
         }
         // Fetch pipeline: ready times.
         let mut ready = Vec::with_capacity(jobs.len());
-        let mut spans: Vec<SpanId> = Vec::with_capacity(jobs.len());
         let mut t = TimePoint::ZERO;
         for (i, j) in jobs.iter().enumerate() {
-            let fetch_start = t;
             t += self.cost.element_cost(j.bytes);
             if let Some(p) = penalties.get(i) {
                 t += *p;
             }
             ready.push(t);
-            let span = tracer.begin_span(
-                "player.element",
-                Category::Decode,
-                fetch_start,
-                SpanId::NONE,
-                session,
-            );
-            tracer.attr(span, "index", i);
-            tracer.attr(span, "bytes", j.bytes);
-            if let Some(p) = penalties.get(i) {
-                tracer.attr(span, "penalty_us", micros(p.seconds()));
-            }
-            tracer.end_span(span, t);
-            spans.push(span);
         }
         // Presentation clock starts when the startup buffer is full.
         let k = self.startup_elements.min(jobs.len()) - 1;
         let t_play = ready[k] - jobs[0].deadline.since_origin();
         stats.startup_latency = ready[k].since_origin();
         stats.elements = jobs.len();
+        // (presented at, lateness) of element `i`.
+        let presented = |i: usize| {
+            let scheduled = t_play + jobs[i].deadline.since_origin();
+            let actual = scheduled.max(ready[i]);
+            (actual, actual - scheduled)
+        };
+
+        // One span per element over its fetch/decode interval, written
+        // whole now that its lateness is known.
+        let spans: Vec<SpanId> = (0..jobs.len())
+            .map(|i| {
+                let fetch_start = if i == 0 {
+                    TimePoint::ZERO
+                } else {
+                    ready[i - 1]
+                };
+                let span = tracer.begin_span(
+                    "player.element",
+                    Category::Decode,
+                    fetch_start,
+                    SpanId::NONE,
+                    session,
+                );
+                tracer.end_span_with(span, ready[i], |a| {
+                    a.put("index", i);
+                    a.put("bytes", jobs[i].bytes);
+                    if let Some(p) = penalties.get(i) {
+                        a.put("penalty_us", micros(p.seconds()));
+                    }
+                    a.put("lateness_us", micros(presented(i).1.seconds()));
+                });
+                span
+            })
+            .collect();
 
         let mut sum_late = Rational::ZERO;
         let mut sum_late_sq = 0f64;
-        for (i, (j, &r)) in jobs.iter().zip(&ready).enumerate() {
-            let scheduled = t_play + j.deadline.since_origin();
-            let actual = scheduled.max(r);
-            let lateness = actual - scheduled;
-            tracer.attr(spans[i], "lateness_us", micros(lateness.seconds()));
+        for (i, &span) in spans.iter().enumerate() {
+            let (actual, lateness) = presented(i);
             if lateness > TimeDelta::ZERO {
                 stats.misses += 1;
                 stats.max_lateness = stats.max_lateness.max(lateness);
                 sum_late += lateness.seconds();
-                tracer.event(
+                tracer.event_with(
                     "present.miss",
                     Category::Present,
                     actual,
-                    spans[i],
+                    span,
                     session,
-                    vec![
-                        ("index", i.into()),
-                        ("lateness_us", micros(lateness.seconds()).into()),
-                    ],
+                    |a| {
+                        a.put("index", i);
+                        a.put("lateness_us", micros(lateness.seconds()));
+                    },
                 );
             }
             let late_f = lateness.seconds().to_f64();

@@ -22,7 +22,7 @@ use std::fmt;
 use tbm_blob::BlobStore;
 use tbm_core::MediaKind;
 use tbm_db::{ObjectColumns, StreamColumns};
-use tbm_obs::{attribute, MissCause};
+use tbm_obs::{attribute, MissCause, TraceView};
 use tbm_serve::{AdmitDecision, Fleet, SessionState, SHARD_SESSION_STRIDE};
 use tbm_time::{Rational, TimePoint};
 
@@ -273,26 +273,21 @@ impl<'a> QueryCtx<'a> {
             });
         }
         if fleet.shard_count() > 0 {
-            let snapshot = fleet.shard(0).tracer().snapshot();
-            let report = attribute(&snapshot.records);
-            for m in &report.misses {
-                let shard = (m.session / SHARD_SESSION_STRIDE) as usize;
-                let at = snapshot
-                    .records
-                    .iter()
-                    .find(|r| r.id == m.span)
-                    .map(|r| r.end.unwrap_or(r.start))
-                    .unwrap_or(TimePoint::ZERO);
-                ctx.misses.push(MissRow {
-                    session: m.session,
-                    shard: shard as u16,
-                    node: placement.node_of_shard(shard) as u16,
-                    element: m.element,
-                    at,
-                    lateness_us: m.lateness_us,
-                    cause: m.cause,
-                });
-            }
+            // Attributed and timed in place: no copy of the ring.
+            fleet.shard(0).tracer().read(|trace| {
+                for m in attribute(trace.records()).misses {
+                    let shard = (m.session / SHARD_SESSION_STRIDE) as usize;
+                    ctx.misses.push(MissRow {
+                        session: m.session,
+                        shard: shard as u16,
+                        node: placement.node_of_shard(shard) as u16,
+                        element: m.element,
+                        at: miss_at(&trace, m.span),
+                        lateness_us: m.lateness_us,
+                        cause: m.cause,
+                    });
+                }
+            });
         }
         ctx
     }
@@ -302,6 +297,14 @@ impl<'a> QueryCtx<'a> {
         self.telemetry = Some(store);
         self
     }
+}
+
+/// When element span `span` ended (began, if still open): looked up by its
+/// id's offset in the ring, [`TimePoint::ZERO`] once evicted.
+fn miss_at(trace: &TraceView<'_>, span: u64) -> TimePoint {
+    trace
+        .get(span)
+        .map_or(TimePoint::ZERO, |r| r.end().unwrap_or(r.start()))
 }
 
 /// µs from exact seconds, rounded.
@@ -989,6 +992,29 @@ mod tests {
             store.ingest(key, seg);
         }
         store
+    }
+
+    #[test]
+    fn miss_times_are_read_by_id_offset_and_evicted_spans_fall_back_to_zero() {
+        use tbm_obs::{Category, SpanId, Tracer, ATTR_LATENESS_US, ELEMENT_SPAN};
+        let t = |ms| TimePoint::ZERO + TimeDelta::from_millis(ms);
+        let tracer = Tracer::with_capacity(2);
+        let element = |ms: i64| {
+            let span =
+                tracer.begin_span(ELEMENT_SPAN, Category::Serve, t(ms), SpanId::NONE, Some(1));
+            tracer.end_span_with(span, t(ms + 5), |a| a.put(ATTR_LATENESS_US, 10i64));
+            span.raw()
+        };
+        let evicted = element(0);
+        let resident = element(10);
+        let misses = tracer.read(|trace| attribute(trace.records()).misses);
+        assert_eq!(misses.len(), 2, "both misses attributed while resident");
+        // One more record evicts the first miss's span.
+        tracer.event("x", Category::Serve, t(20), SpanId::NONE, None, vec![]);
+        tracer.read(|trace| {
+            assert_eq!(miss_at(&trace, resident), t(15));
+            assert_eq!(miss_at(&trace, evicted), TimePoint::ZERO);
+        });
     }
 
     #[test]

@@ -471,17 +471,13 @@ impl Remediator {
                 Verdict::Held
             };
             self.records[inflight.record].verdict = Some(verdict);
-            tracer.attr(
-                inflight.span,
-                "verdict",
-                AttrValue::Text(verdict.as_str().to_string()),
-            );
-            tracer.attr(
-                inflight.span,
-                "burn_at_verify_milli",
-                AttrValue::U64((burn_now * 1000.0).round() as u64),
-            );
-            tracer.end_span(inflight.span, at);
+            tracer.end_span_with(inflight.span, at, |a| {
+                a.put("verdict", AttrValue::Text(verdict.as_str().to_string()));
+                a.put(
+                    "burn_at_verify_milli",
+                    AttrValue::U64((burn_now * 1000.0).round() as u64),
+                );
+            });
             self.states[i].inflight = None;
 
             // Flapping guard: too many rollbacks inside the window freeze
@@ -543,16 +539,24 @@ impl Remediator {
                 );
                 continue;
             }
-            let span =
-                tracer.begin_span("remediation", Category::Remediation, at, SpanId::NONE, None);
-            tracer.attr(span, "rule", AttrValue::Text(entry.rule.clone()));
-            tracer.attr(span, "action", AttrValue::Text(entry.action.to_string()));
+            let span = tracer.begin_span_with(
+                "remediation",
+                Category::Remediation,
+                at,
+                SpanId::NONE,
+                None,
+                |a| {
+                    a.put("rule", AttrValue::Text(entry.rule.clone()));
+                    a.put("action", AttrValue::Text(entry.action.to_string()));
+                },
+            );
             match self.apply_action(fleet, &entry.action, at) {
                 None => {
                     // The action's own guard held — no token consumed.
                     fleet.inc_metric(M_NOOP, 1);
-                    tracer.attr(span, "verdict", AttrValue::Text("noop".to_string()));
-                    tracer.end_span(span, at);
+                    tracer.end_span_with(span, at, |a| {
+                        a.put("verdict", AttrValue::Text("noop".to_string()))
+                    });
                     self.push_record(tick, at, &entry, Outcome::Noop);
                 }
                 Some((detail, rollback)) => {

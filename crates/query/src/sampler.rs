@@ -395,11 +395,19 @@ impl FleetTelemetry {
         for tr in &transitions {
             match tr.kind {
                 AlertKind::Opened => {
-                    let span = tracer.begin_span("alert", Category::Health, at, SpanId::NONE, None);
-                    tracer.attr(span, "rule", AttrValue::Text(tr.rule.clone()));
-                    tracer.attr(span, "open_tick", AttrValue::U64(u64::from(tr.tick)));
-                    tracer.attr(span, "fast_burn_milli", milli(tr.fast_burn));
-                    tracer.attr(span, "slow_burn_milli", milli(tr.slow_burn));
+                    let span = tracer.begin_span_with(
+                        "alert",
+                        Category::Health,
+                        at,
+                        SpanId::NONE,
+                        None,
+                        |a| {
+                            a.put("rule", AttrValue::Text(tr.rule.clone()));
+                            a.put("open_tick", AttrValue::U64(u64::from(tr.tick)));
+                            a.put("fast_burn_milli", milli(tr.fast_burn));
+                            a.put("slow_burn_milli", milli(tr.slow_burn));
+                        },
+                    );
                     health.spans.insert(tr.rule.clone(), span);
                     fleet.inc_metric("health.alerts.opened", 1);
                     fleet.inc_metric(format!("health.alerts.opened.{}", tr.rule), 1);

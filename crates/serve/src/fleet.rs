@@ -764,13 +764,13 @@ impl<S: BlobStore> Fleet<S> {
 
     /// Writes the shared trace as Chrome `trace_event` JSON.
     pub fn trace_to_writer(&self, w: &mut dyn io::Write) -> io::Result<()> {
-        chrome_trace_to_writer(&self.tracer.snapshot(), w)
+        chrome_trace_to_writer(&self.trace(), w)
     }
 
     /// Deadline-miss attribution over the shared trace — including the
     /// `node-loss` cause migration stalls are charged to.
     pub fn attribution(&self) -> AttributionReport {
-        attribute(&self.tracer.snapshot().records)
+        self.tracer.read(|trace| attribute(trace.records()))
     }
 
     // ------------------------------------------------------------------

@@ -646,15 +646,13 @@ mod tests {
                     server.request(t(0), Request::Play { session: id }).unwrap();
                 }
             }
-            (server.finish(), server.attribution())
+            (server.finish(), server.attribution(), server.trace())
         };
 
-        let tracer = Tracer::new();
-        let (traced, report) = run(Some(tracer.clone()));
-        let (untraced, _) = run(None);
+        let (traced, report, snap) = run(Some(Tracer::new()));
+        let (untraced, _, _) = run(None);
         assert_eq!(traced, untraced, "tracing must not perturb the run");
 
-        let snap = tracer.snapshot();
         assert!(!snap.records.is_empty());
         let elements: Vec<_> = snap
             .records

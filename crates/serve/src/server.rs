@@ -33,8 +33,8 @@ use tbm_blob::{BlobStore, MemBlobStore, RetryPolicy};
 use tbm_core::SessionId;
 use tbm_db::MediaDb;
 use tbm_obs::{
-    attribute, chrome_trace_to_writer, micros, AttributionReport, Category, CounterId, GaugeId,
-    HistogramId, MetricsRegistry, SpanId, TraceSnapshot, Tracer, ATTR_DECODE_US,
+    attribute, chrome_trace_to_writer, micros, AttributionReport, Attrs, Category, CounterId,
+    GaugeId, HistogramId, MetricsRegistry, SpanId, TraceSnapshot, Tracer, ATTR_DECODE_US,
     ATTR_ELEMENT_INDEX, ATTR_FAILOVER_US, ATTR_INHERITED_US, ATTR_LATENESS_US, ATTR_NODELOSS_US,
     ATTR_RETRY_US, ATTR_STORAGE_US, ATTR_WAIT_US, ELEMENT_SPAN, LATENCY_BUCKETS_US,
 };
@@ -363,13 +363,13 @@ impl<S: BlobStore> Server<S> {
     /// Writes the collected trace as Chrome `trace_event` JSON (loadable in
     /// Perfetto or `chrome://tracing`).
     pub fn trace_to_writer(&self, w: &mut dyn io::Write) -> io::Result<()> {
-        chrome_trace_to_writer(&self.tracer.snapshot(), w)
+        chrome_trace_to_writer(&self.trace(), w)
     }
 
-    /// Walks the collected trace and assigns exactly one cause to every
-    /// deadline miss. See [`tbm_obs::attribution`] for the rules.
+    /// Walks the collected trace in place and assigns exactly one cause to
+    /// every deadline miss. See [`tbm_obs::attribution`] for the rules.
     pub fn attribution(&self) -> AttributionReport {
-        attribute(&self.tracer.snapshot().records)
+        self.tracer.read(|trace| attribute(trace.records()))
     }
 
     /// The catalog being served.
@@ -740,11 +740,9 @@ impl<S: BlobStore> Server<S> {
                     self.clock,
                     SpanId::NONE,
                     None,
-                    || {
-                        vec![
-                            ("object", object.to_owned().into()),
-                            ("verdict", "rejected".into()),
-                        ]
+                    |a| {
+                        a.put("object", object.to_owned());
+                        a.put("verdict", "rejected");
                     },
                 );
                 return Ok(Response::Opened {
@@ -769,29 +767,24 @@ impl<S: BlobStore> Server<S> {
             self.clock,
             SpanId::NONE,
             Some(id.raw()),
-            || {
-                let mut attrs = vec![
-                    ("object", object.to_owned().into()),
-                    ("verdict", verdict.into()),
-                ];
+            |a| {
+                a.put("object", object.to_owned());
+                a.put("verdict", verdict);
                 if gate.cache_aware {
                     // Only under the flag, so off-flag traces stay
                     // byte-identical.
-                    attrs.push(("charged_bps", (charged.floor().max(0) as u64).into()));
+                    a.put("charged_bps", charged.floor().max(0) as u64);
                 }
-                attrs
             },
         );
-        let span = self.tracer.begin_span(
+        let span = self.tracer.begin_span_with(
             "session",
             Category::Session,
             self.clock,
             SpanId::NONE,
             Some(id.raw()),
+            |a| a.put("object", object.to_owned()),
         );
-        if self.tracer.is_enabled() {
-            self.tracer.attr(span, "object", object.to_owned());
-        }
         let session = Session {
             id,
             state: SessionState::Opened,
@@ -890,7 +883,7 @@ impl<S: BlobStore> Server<S> {
             at,
             span,
             Some(id.raw()),
-            || vec![("queued", queued.into())],
+            |a| a.put("queued", queued),
         );
         if queued == 0 {
             self.tracer.end_span(span, at);
@@ -916,7 +909,7 @@ impl<S: BlobStore> Server<S> {
             self.clock,
             s.span,
             Some(id.raw()),
-            || vec![("remaining", remaining.into())],
+            |a| a.put("remaining", remaining),
         );
         Ok(Response::Paused {
             session: id,
@@ -948,11 +941,9 @@ impl<S: BlobStore> Server<S> {
             at,
             span,
             Some(id.raw()),
-            || {
-                vec![
-                    ("to_us", tbm_obs::micros_of(to).into()),
-                    ("remaining", remaining.into()),
-                ]
+            |a| {
+                a.put("to_us", tbm_obs::micros_of(to));
+                a.put("remaining", remaining);
             },
         );
         if playing && remaining == 0 {
@@ -1014,7 +1005,10 @@ impl<S: BlobStore> Server<S> {
             at,
             s.span,
             Some(id.raw()),
-            || vec![("num", num.into()), ("den", den.into())],
+            |a| {
+                a.put("num", num);
+                a.put("den", den);
+            },
         );
         if s.state == SessionState::Playing {
             s.anchor(at);
@@ -1039,7 +1033,7 @@ impl<S: BlobStore> Server<S> {
             self.clock,
             span,
             Some(id.raw()),
-            || vec![("elements", stats.elements.into())],
+            |a| a.put("elements", stats.elements),
         );
         self.tracer.end_span(span, self.clock);
         self.try_upgrade_sessions(self.clock);
@@ -1084,7 +1078,7 @@ impl<S: BlobStore> Server<S> {
                 at,
                 span,
                 Some(id.raw()),
-                || vec![("shed", shed.into())],
+                |a| a.put("shed", shed),
             );
             self.tracer.end_span(span, at);
             shed_total += shed;
@@ -1146,14 +1140,10 @@ impl<S: BlobStore> Server<S> {
         s.charged = new_charged;
         self.capped_live = self.capped_live - was as usize + s.is_capped_live() as usize;
         let remaining = s.pending.len();
-        self.tracer.event_with(
-            name,
-            Category::Session,
-            at,
-            s.span,
-            Some(s.id.raw()),
-            || vec![("remaining", remaining.into())],
-        );
+        self.tracer
+            .event_with(name, Category::Session, at, s.span, Some(s.id.raw()), |a| {
+                a.put("remaining", remaining)
+            });
         if s.state == SessionState::Playing {
             s.anchor(at);
             self.enqueue_next(idx);
@@ -1402,18 +1392,19 @@ impl<S: BlobStore> Server<S> {
         // is attributed to `node-loss`, never to channel wait.
         let natural_start = self.busy_until.max(s.play_time);
         let start = natural_start.max(self.stall_until);
-        self.tracer.set_now(start);
-        // A tiered store runs its breakers and outage scripts on the same
-        // simulated instant the element is dispatched at.
-        self.db.store().set_sim_now(start);
-        let span = self.tracer.begin_span(
+        // The tracer's "now" moves to the dispatch instant with the span's
+        // one write.
+        let span = self.tracer.advance_and_begin_span(
             ELEMENT_SPAN,
             Category::Serve,
             start,
             s.span,
             Some(job.session),
+            |a| a.put(ATTR_ELEMENT_INDEX, job.pos),
         );
-        self.tracer.attr(span, ATTR_ELEMENT_INDEX, job.pos);
+        // A tiered store runs its breakers and outage scripts on the same
+        // simulated instant the element is dispatched at.
+        self.db.store().set_sim_now(start);
         let mut e = ElementOutcome {
             natural_start,
             start,
@@ -1463,7 +1454,10 @@ impl<S: BlobStore> Server<S> {
         // established.
         let slack_us = OnceCell::new();
         for (li, &(layer_span, expected_crc)) in layers.iter().enumerate() {
-            let probe = || vec![("layer", li.into()), ("bytes", layer_span.len.into())];
+            let probe = |a: &mut Attrs<'_>| {
+                a.put("layer", li);
+                a.put("bytes", layer_span.len);
+            };
             e.bytes_decoded += layer_span.len;
             if self.cache.get(blob, layer_span).is_some() {
                 s.stats.cache_hits += 1;
@@ -1634,17 +1628,17 @@ impl<S: BlobStore> Server<S> {
                 // overrun: the part of this miss that is inherited backlog,
                 // not this element's own doing.
                 let inherited_us = s.last_lateness_us.min(lateness_us).max(0);
-                let (tracer, span) = (&self.tracer, e.span);
-                tracer.attr(span, "fate", e.fate.label());
-                tracer.attr(span, ATTR_WAIT_US, micros(waited.seconds()));
-                tracer.attr(span, ATTR_NODELOSS_US, nodeloss_us);
-                tracer.attr(span, ATTR_STORAGE_US, storage_us);
-                tracer.attr(span, ATTR_RETRY_US, retry_us);
-                tracer.attr(span, ATTR_FAILOVER_US, e.failover_us as i64);
-                tracer.attr(span, ATTR_DECODE_US, micros(e.decode_cost));
-                tracer.attr(span, ATTR_INHERITED_US, inherited_us);
-                tracer.attr(span, ATTR_LATENESS_US, lateness_us);
-                tracer.end_span(span, e.ready);
+                self.tracer.end_span_with(e.span, e.ready, |a| {
+                    a.put("fate", e.fate.label());
+                    a.put(ATTR_WAIT_US, micros(waited.seconds()));
+                    a.put(ATTR_NODELOSS_US, nodeloss_us);
+                    a.put(ATTR_STORAGE_US, storage_us);
+                    a.put(ATTR_RETRY_US, retry_us);
+                    a.put(ATTR_FAILOVER_US, e.failover_us as i64);
+                    a.put(ATTR_DECODE_US, micros(e.decode_cost));
+                    a.put(ATTR_INHERITED_US, inherited_us);
+                    a.put(ATTR_LATENESS_US, lateness_us);
+                });
             }
         }
         s.last_ready = e.ready;

@@ -624,11 +624,22 @@ impl<S: BlobStore> ShardedServer<S> {
         chrome_trace_to_writer(&self.trace(), w)
     }
 
-    /// Deadline-miss attribution over the fleet trace, fleet-wide.
-    /// Session ids are globally unique, so per-session backlog chaining
-    /// never mixes sessions from different shards.
+    /// Deadline-miss attribution over the fleet trace, fleet-wide, read in
+    /// place. Session ids are globally unique, so per-session backlog
+    /// chaining never mixes sessions from different shards — which is also
+    /// why attributing per-shard rings one by one, in shard order, equals
+    /// attributing their merge.
     pub fn attribution(&self) -> AttributionReport {
-        attribute(&self.trace().records)
+        let rings = if self.shard_tracers.is_empty() {
+            std::slice::from_ref(&self.tracer)
+        } else {
+            &self.shard_tracers[..]
+        };
+        let misses = rings
+            .iter()
+            .flat_map(|t| t.read(|trace| attribute(trace.records())).misses)
+            .collect();
+        AttributionReport { misses }
     }
 }
 

@@ -249,6 +249,12 @@ fn run(
     }
     let stats = server.finish();
     settle(&server, &mut models)?;
+    // The per-shard rings, attributed one by one in place, give the same
+    // report as the merged trace.
+    prop_assert_eq!(
+        server.attribution(),
+        tbm_obs::attribute(&server.trace().records)
+    );
     let mut trace = Vec::new();
     server.trace_to_writer(&mut trace).unwrap();
     Ok((format!("{stats:?}"), server.metrics().render(), trace))

@@ -77,6 +77,9 @@ done
 for def in 'fn splitmix64' 'enum BreakerState'; do
     once "$def" crates/*/src
 done
+# A trace record costs one critical section: the tracer's ring mutex is
+# locked at one site, never once per attribute.
+once '.lock()' crates/obs/src/tracer.rs
 
 echo "==> knob audit"
 # A public builder or setter that nothing outside its crate sets is a
