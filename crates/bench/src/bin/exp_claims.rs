@@ -1541,15 +1541,15 @@ fn ablations() {
     println!("time → element, {N} elements:");
     let (by_stride, by_search) = (TimeIndex::build(&flat), TimeIndex::build(&gappy));
     assert!(matches!(by_stride, TimeIndex::Uniform { .. }));
-    assert!(matches!(by_search, TimeIndex::Search));
+    assert!(matches!(by_search, TimeIndex::Search { .. }));
     let stride = arm("uniform stride", N, |i| {
         by_stride.lookup(&flat, at(i) as i64)
     });
     arm("binary search", N, |i| {
         by_search.lookup(&gappy, gappy[at(i)].start)
     });
-    // A tick no element covers: the search's walk back over overlaps finds
-    // nothing to stop at and degenerates into the scan.
+    // A tick no element covers: the search's walk back over overlaps stops
+    // once an element starts the longest duration before the tick.
     let gap = |i| gappy[at(i) / 5 * 5].end();
     arm("binary search, tick in a gap", 1_000, |i| {
         by_search.lookup(&gappy, gap(i))

@@ -291,7 +291,7 @@ fn main() {
         indexed.as_nanos() as f64 / probes.len() as f64,
         match idx {
             TimeIndex::Uniform { .. } => "uniform-stride",
-            TimeIndex::Search => "binary-search",
+            TimeIndex::Search { .. } => "binary-search",
         },
         scan.as_secs_f64() / indexed.as_secs_f64().max(1e-12)
     );

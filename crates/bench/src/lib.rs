@@ -6,7 +6,6 @@
 pub mod scenario;
 
 use tbm_blob::MemBlobStore;
-use tbm_codec::dct::DctParams;
 use tbm_core::{QualityFactor, VideoQuality};
 use tbm_interp::capture::{self, AvCapture};
 use tbm_media::gen::{AudioSignal, VideoPattern};
@@ -44,11 +43,6 @@ pub fn captured_av(n: usize, w: u32, h: u32) -> (MemBlobStore, AvCapture) {
     )
     .expect("capture");
     (store, cap)
-}
-
-/// Default DCT parameters for workloads.
-pub fn dct_params() -> DctParams {
-    DctParams::default()
 }
 
 /// Formats a byte count with binary units.

@@ -504,11 +504,6 @@ impl TieredBlobStore {
         self
     }
 
-    /// Number of tiers in the stack.
-    pub fn tier_count(&self) -> usize {
-        self.tiers.len()
-    }
-
     /// The current breaker state of tier `tier`, if it exists.
     pub fn breaker_state(&self, tier: usize) -> Option<BreakerState> {
         self.tiers.get(tier).map(|t| t.breaker.borrow().state())

@@ -31,8 +31,14 @@ pub enum TimeIndex {
         /// Element count.
         count: usize,
     },
-    /// General path: binary search over ordered starts.
-    Search,
+    /// General path: binary search over ordered starts, then a walk back
+    /// over overlaps bounded by the longest duration.
+    Search {
+        /// The stream's longest element duration: an element starting
+        /// before `tick` and at or before `tick - max_duration` cannot
+        /// cover `tick`, so neither can any element before it.
+        max_duration: i64,
+    },
 }
 
 impl TimeIndex {
@@ -54,7 +60,9 @@ impl TimeIndex {
                 }
             }
         }
-        TimeIndex::Search
+        TimeIndex::Search {
+            max_duration: entries.iter().map(|e| e.duration).max().unwrap_or(0),
+        }
     }
 
     /// The element number active at `tick`, if any.
@@ -71,20 +79,23 @@ impl TimeIndex {
                 let idx = ((tick - start) / duration) as usize;
                 (idx < count).then_some(idx)
             }
-            TimeIndex::Search => {
+            TimeIndex::Search { max_duration } => {
                 if entries.is_empty() || tick < entries[0].start {
                     return None;
                 }
                 let n = entries.partition_point(|e| e.start <= tick);
-                // Walk back over ties/overlaps to an element covering `tick`.
-                entries[..n].iter().enumerate().rev().find_map(|(i, e)| {
-                    let covers = if e.duration == 0 {
-                        e.start == tick
-                    } else {
-                        e.start <= tick && tick < e.end()
-                    };
-                    covers.then_some(i)
-                })
+                // Walk back over ties/overlaps to an element covering `tick`,
+                // no further than the longest duration reaches: in a gap the
+                // walk stops after the elements that could still cover it.
+                for (i, e) in entries[..n].iter().enumerate().rev() {
+                    if covers(e, tick) {
+                        return Some(i);
+                    }
+                    if e.start < tick && e.start.saturating_add(max_duration) <= tick {
+                        return None;
+                    }
+                }
+                None
             }
         }
     }
@@ -93,14 +104,21 @@ impl TimeIndex {
     /// benchmark compares against). Like `lookup`, overlapping coverage
     /// resolves to the *most recently started* covering element.
     pub fn lookup_scan(entries: &[ElementEntry], tick: i64) -> Option<usize> {
-        entries.iter().enumerate().rev().find_map(|(i, e)| {
-            let covers = if e.duration == 0 {
-                e.start == tick
-            } else {
-                e.start <= tick && tick < e.end()
-            };
-            covers.then_some(i)
-        })
+        entries
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(i, e)| covers(e, tick).then_some(i))
+    }
+}
+
+/// Whether `e` is active at `tick`: an event (duration 0) at its instant,
+/// an element over its half-open interval.
+fn covers(e: &ElementEntry, tick: i64) -> bool {
+    if e.duration == 0 {
+        e.start == tick
+    } else {
+        e.start <= tick && tick < e.end()
     }
 }
 
@@ -226,7 +244,7 @@ mod tests {
             ElementEntry::simple(10, 5, ByteSpan::new(3, 3)),
         ];
         let idx = TimeIndex::build(&entries);
-        assert_eq!(idx, TimeIndex::Search);
+        assert_eq!(idx, TimeIndex::Search { max_duration: 5 });
         assert_eq!(idx.lookup(&entries, 3), Some(0));
         assert_eq!(idx.lookup(&entries, 7), None); // in the gap
         assert_eq!(idx.lookup(&entries, 12), Some(1));
@@ -255,7 +273,10 @@ mod tests {
             ElementEntry::simple(0, 2, ByteSpan::new(0, 3)),
             ElementEntry::simple(2, 3, ByteSpan::new(3, 3)),
         ];
-        assert_eq!(TimeIndex::build(&entries), TimeIndex::Search);
+        assert_eq!(
+            TimeIndex::build(&entries),
+            TimeIndex::Search { max_duration: 3 }
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! One media object's interpretation: descriptor + element table + indexes.
 
 use crate::{ElementEntry, InterpError, TimeIndex};
-use tbm_blob::{BlobStore, ByteSpan};
+use tbm_blob::BlobStore;
 use tbm_core::{BlobId, MediaDescriptor};
 use tbm_time::TimeSystem;
 
@@ -313,20 +313,12 @@ impl StreamInterp {
         }
         StreamInterp::new(self.descriptor.clone(), self.system, entries)
     }
-
-    /// All placement spans, in element order (for layout analysis/tests).
-    pub fn all_spans(&self) -> Vec<ByteSpan> {
-        self.entries
-            .iter()
-            .flat_map(|e| e.placement.layers().iter().copied())
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tbm_blob::MemBlobStore;
+    use tbm_blob::{ByteSpan, MemBlobStore};
     use tbm_core::MediaKind;
 
     fn desc() -> MediaDescriptor {

@@ -6,9 +6,17 @@ use tbm_core::{MediaDescriptor, MediaKind};
 use tbm_interp::{ChunkedIndex, ElementEntry, Interpretation, StreamInterp, TimeIndex};
 use tbm_time::TimeSystem;
 
+/// An element duration: mostly a tick or a few, sometimes long enough to
+/// span dozens of later elements — which is what bounds the time index's
+/// walk back over overlaps.
+fn duration() -> impl Strategy<Value = i64> {
+    (0i64..5, 5i64..160, 0u8..8)
+        .prop_map(|(short, long, pick)| if pick == 0 { long } else { short })
+}
+
 /// Random valid, contiguous-placement element tables.
 fn contiguous_entries() -> impl Strategy<Value = Vec<ElementEntry>> {
-    prop::collection::vec((0i64..4, 0i64..5, 1u64..200, any::<bool>()), 1..80).prop_map(|raw| {
+    prop::collection::vec((0i64..4, duration(), 1u64..200, any::<bool>()), 1..80).prop_map(|raw| {
         let mut at = 0u64;
         let mut t = 0i64;
         raw.into_iter()

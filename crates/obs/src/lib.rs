@@ -42,6 +42,6 @@ pub use metrics::{
     MAX_BUCKETS,
 };
 pub use tracer::{
-    merge_snapshots, micros, micros_of, AttrValue, Attrs, Category, RecordKind, RecordRef,
-    RecordView, SpanId, TraceRecord, TraceSnapshot, TraceView, Tracer, DEFAULT_TRACE_CAPACITY,
+    micros, micros_of, AttrValue, Attrs, Category, RecordKind, RecordRef, RecordView, SpanId,
+    TraceRecord, TraceSnapshot, TraceView, Tracer, DEFAULT_TRACE_CAPACITY,
 };

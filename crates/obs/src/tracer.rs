@@ -25,11 +25,9 @@
 //! for export.
 //!
 //! The ring lives behind an `Arc<Mutex<_>>`, so a tracer handle can cross
-//! threads: the parallel shard pool hands each worker servers that carry
-//! their own tracers. Determinism is preserved by giving each shard its
-//! *own* ring with a disjoint id range ([`Tracer::with_capacity_and_base`])
-//! and merging snapshots in shard order ([`merge_snapshots`]) — never by
-//! letting two threads interleave writes into one ring.
+//! threads with the server that carries it. Determinism is kept by never
+//! letting two threads interleave writes into one ring: a traced sharded
+//! server drives its shards one after another.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -549,10 +547,10 @@ enum When {
 }
 
 impl Ring {
-    fn new(cap: usize, id_base: u64) -> Ring {
+    fn new(cap: usize) -> Ring {
         Ring {
             cap: cap.max(1),
-            next_id: id_base,
+            next_id: 0,
             dropped: 0,
             now: TimePoint::ZERO,
             heads: VecDeque::new(),
@@ -784,18 +782,8 @@ impl Tracer {
 
     /// An enabled tracer retaining at most `capacity` records.
     pub fn with_capacity(capacity: usize) -> Tracer {
-        Tracer::with_capacity_and_base(capacity, 0)
-    }
-
-    /// An enabled tracer whose record ids start at `id_base` instead of 0.
-    ///
-    /// Per-shard tracers use disjoint id bases (shard `i` gets
-    /// `i * stride`) so that snapshots merged in shard order keep the
-    /// "parent id < child id" invariant and stay byte-identical no matter
-    /// how many worker threads ran the shards.
-    pub fn with_capacity_and_base(capacity: usize, id_base: u64) -> Tracer {
         Tracer {
-            inner: Some(Arc::new(Mutex::new(Ring::new(capacity, id_base)))),
+            inner: Some(Arc::new(Mutex::new(Ring::new(capacity)))),
         }
     }
 
@@ -1185,24 +1173,6 @@ impl RecordView for RecordRef<'_> {
             _ => 0,
         }
     }
-}
-
-/// Concatenates per-shard snapshots, in the order given, into one timeline.
-///
-/// Each input ring must have been built with a disjoint id base
-/// ([`Tracer::with_capacity_and_base`]); the caller passes the parts in
-/// shard order, so the merged record list is a pure function of the run —
-/// independent of which worker thread ran which shard. Drop counts add up.
-pub fn merge_snapshots(parts: impl IntoIterator<Item = TraceSnapshot>) -> TraceSnapshot {
-    let mut merged = TraceSnapshot {
-        records: Vec::new(),
-        dropped: 0,
-    };
-    for part in parts {
-        merged.records.extend(part.records);
-        merged.dropped += part.dropped;
-    }
-    merged
 }
 
 /// Exact whole microseconds of a simulated time value (floor), the unit of

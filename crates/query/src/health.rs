@@ -40,7 +40,9 @@ use tbm_time::{TimeDelta, TimePoint};
 
 use crate::model::{Segment, SegmentModel};
 use crate::query::{Predicate, Query, QueryCtx, Source, Table};
-use crate::store::{Aggregate, GroupBy, Metric, Selector, SeriesKey, TelemetryStore};
+use crate::store::{
+    aggregate_column, Aggregate, GroupBy, Metric, Selector, SeriesKey, TelemetryStore,
+};
 
 /// Burn rates are clamped to this ceiling so zero-threshold objectives
 /// ("unverified serves = 0") stay finite and reports render cleanly.
@@ -760,21 +762,7 @@ impl HealthMonitor {
     ) -> Option<f64> {
         let mut values = Vec::new();
         self.for_window_values(sel, t, window, |_, v| values.push(v));
-        if values.is_empty() {
-            return None;
-        }
-        Some(match agg {
-            Aggregate::Count => values.len() as f64,
-            Aggregate::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
-            Aggregate::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            Aggregate::Mean => values.iter().sum::<f64>() / values.len() as f64,
-            Aggregate::Quantile(p) => {
-                values.sort_by(|a, b| a.partial_cmp(b).expect("telemetry samples are finite"));
-                let n = values.len() as u64;
-                let rank = (u64::from(p.min(100)) * n).div_ceil(100).max(1);
-                values[(rank - 1) as usize]
-            }
-        })
+        aggregate_column(&mut values, agg)
     }
 
     /// Visits every sample of every selector-matched series inside the

@@ -26,7 +26,9 @@ use tbm_obs::{attribute, MissCause, TraceView};
 use tbm_serve::{AdmitDecision, Fleet, SessionState, SHARD_SESSION_STRIDE};
 use tbm_time::{Rational, TimePoint};
 
-use crate::store::{Aggregate, GroupBy, GroupKey, Metric, Selector, TelemetryStore};
+use crate::store::{
+    aggregate_column, Aggregate, GroupBy, GroupKey, Metric, Selector, TelemetryStore,
+};
 
 /// Which typed row set a query scans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -804,7 +806,7 @@ impl Query {
             rows: buckets
                 .into_iter()
                 .map(|(k, mut vals)| {
-                    let value = aggregate_values(&mut vals, agg);
+                    let value = aggregate_column(&mut vals, agg);
                     vec![
                         k.to_string(),
                         column.to_string(),
@@ -828,7 +830,9 @@ impl Query {
         let Some(agg) = self.aggregate else {
             return Ok(listing());
         };
-        let value = aggregate_values(&mut values, agg);
+        // The Count of no rows is 0; every other aggregate of none is "-".
+        let value = aggregate_column(&mut values, agg)
+            .or_else(|| matches!(agg, Aggregate::Count).then_some(0.0));
         Ok(Table {
             title: self.describe(),
             columns: str_vec(&["source", "column", "aggregate", "value", "rows"]),
@@ -841,28 +845,6 @@ impl Query {
             ]],
         })
     }
-}
-
-/// Aggregates a plain column of row values (exact; no model error).
-fn aggregate_values(values: &mut [f64], agg: Aggregate) -> Option<f64> {
-    if values.is_empty() {
-        return match agg {
-            Aggregate::Count => Some(0.0),
-            _ => None,
-        };
-    }
-    Some(match agg {
-        Aggregate::Count => values.len() as f64,
-        Aggregate::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
-        Aggregate::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        Aggregate::Mean => values.iter().sum::<f64>() / values.len() as f64,
-        Aggregate::Quantile(p) => {
-            values.sort_by(|a, b| a.partial_cmp(b).expect("finite column values"));
-            let n = values.len() as u64;
-            let rank = (u64::from(p.min(100)) * n).div_ceil(100).max(1);
-            values[(rank - 1) as usize]
-        }
-    })
 }
 
 /// `shard.offset` — readable, and stable across runs.

@@ -489,6 +489,27 @@ impl TelemetryStore {
     }
 }
 
+/// `agg` over a plain column of values, exactly (no model error): the
+/// health plane's windowed rule samples and the query layer's row columns.
+/// `None` when the column is empty.
+pub(crate) fn aggregate_column(values: &mut [f64], agg: Aggregate) -> Option<f64> {
+    if values.is_empty() {
+        return None;
+    }
+    Some(match agg {
+        Aggregate::Count => values.len() as f64,
+        Aggregate::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
+        Aggregate::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        Aggregate::Mean => values.iter().sum::<f64>() / values.len() as f64,
+        Aggregate::Quantile(p) => {
+            values.sort_by(|a, b| a.partial_cmp(b).expect("column values are finite"));
+            let n = values.len() as u64;
+            let rank = (u64::from(p.min(100)) * n).div_ceil(100).max(1);
+            values[(rank - 1) as usize]
+        }
+    })
+}
+
 /// One aggregate in progress: the running extrema/sum plus the weighted
 /// value set a quantile needs, fed one segment window at a time. Shared by
 /// the plain and grouped aggregate paths so both make exactly one pass.

@@ -90,7 +90,6 @@ pub use server::Server;
 pub use session::{Request, Response, Session, SessionState, SessionStats};
 pub use shard::{
     shard_of, ShardError, ShardedDb, ShardedServer, ShardedStats, SHARD_SESSION_STRIDE,
-    SHARD_TRACE_ID_STRIDE,
 };
 
 #[cfg(test)]

@@ -18,11 +18,18 @@
 //!   simulated-time order a sequential loop would use.
 //! * **Simulated time is untouched.** Every shard serves its own elements
 //!   at the same exact rational instants it would single-threaded, so
-//!   stats, metrics and (per-shard) traces are byte-identical at any
-//!   worker count. The only parallel-observable quantities are the
-//!   [`WorkerStats`] counters, which depend on host scheduling and are
-//!   deliberately kept *outside* the deterministic surface (they are not
-//!   merged into [`crate::ShardedServer::metrics`]).
+//!   stats and metrics are byte-identical at any worker count. The only
+//!   parallel-observable quantities are the [`WorkerStats`] counters,
+//!   which depend on host scheduling and are deliberately kept *outside*
+//!   the deterministic surface (they are not merged into
+//!   [`crate::ShardedServer::metrics`]).
+//! * **Untraced drives only.** A traced server has one ring, which two
+//!   threads cannot write in a deterministic order, so it never reaches
+//!   the pool ([`crate::ShardedServer::with_tracer`]).
+//!
+//! Stealing stays because it fires: `perf` counts thousands of steals per
+//! run on `storm_cold` and `session_churn` at two workers (none on
+//! `storm_hot`).
 //!
 //! The pool spawns scoped threads per drive, so it is engaged only when a
 //! drive actually has due work — idle `run_until` calls stay on the cheap
@@ -68,18 +75,18 @@ impl WorkerStats {
 /// Drives every shard to `goal` on `workers` scoped threads. Returns
 /// per-worker counters.
 ///
-/// The servers are moved into per-shard mutex slots for the drive and
-/// moved back out afterwards; a shard index lives in exactly one deque at
-/// a time, so each slot lock is uncontended — it exists to satisfy the
-/// borrow checker across threads, not to serialise work.
+/// Each shard is borrowed into a mutex slot for the drive; a shard index
+/// lives in exactly one deque at a time, so each slot lock is uncontended
+/// — it lets whichever worker claims the index borrow the shard, it does
+/// not serialise work.
 pub(crate) fn run_round<S: BlobStore>(
-    shards: &mut Vec<Server<S>>,
+    shards: &mut [Server<S>],
     goal: RoundGoal,
     workers: usize,
 ) -> Vec<WorkerStats> {
     let n = shards.len();
     let workers = workers.clamp(1, n.max(1));
-    let slots: Vec<Mutex<Server<S>>> = std::mem::take(shards).into_iter().map(Mutex::new).collect();
+    let slots: Vec<Mutex<&mut Server<S>>> = shards.iter_mut().map(Mutex::new).collect();
     let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
         .map(|w| Mutex::new((w..n).step_by(workers).collect()))
         .collect();
@@ -129,11 +136,6 @@ pub(crate) fn run_round<S: BlobStore>(
             stats[w] = h.join().expect("pool worker panicked");
         }
     });
-
-    *shards = slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("pool worker poisoned a shard"))
-        .collect();
     stats
 }
 

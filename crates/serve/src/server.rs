@@ -377,11 +377,6 @@ impl<S: BlobStore> Server<S> {
         &self.db
     }
 
-    /// Recovers the catalog, dropping the server state.
-    pub fn into_db(self) -> MediaDb<S> {
-        self.db
-    }
-
     /// The capacity model.
     pub fn capacity(&self) -> Capacity {
         self.capacity
@@ -438,11 +433,6 @@ impl<S: BlobStore> Server<S> {
             .checked_sub(self.session_base)
             .map(|i| i as usize)
             .filter(|&i| i < self.sessions.len())
-    }
-
-    /// The shared segment cache's counters.
-    pub fn cache_stats(&self) -> crate::CacheStats {
-        self.cache.stats()
     }
 
     /// Submits a request at simulated time `at` (non-decreasing across

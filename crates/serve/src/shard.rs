@@ -41,8 +41,7 @@ use tbm_core::{InterpretationId, SessionId};
 use tbm_db::{DbError, MediaDb};
 use tbm_interp::Interpretation;
 use tbm_obs::{
-    attribute, chrome_trace_to_writer, merge_snapshots, AttributionReport, MetricsRegistry,
-    TraceSnapshot, Tracer,
+    attribute, chrome_trace_to_writer, AttributionReport, MetricsRegistry, TraceSnapshot, Tracer,
 };
 use tbm_time::TimePoint;
 
@@ -50,12 +49,6 @@ use tbm_time::TimePoint;
 /// `i * SHARD_SESSION_STRIDE`, so any session id names its owning shard by
 /// division and ids never collide fleet-wide (traces included).
 pub const SHARD_SESSION_STRIDE: u64 = 1 << 32;
-
-/// Trace-record-id stride between shards under
-/// [`ShardedServer::with_shard_tracers`]: shard `i`'s ring allocates ids
-/// from `i * SHARD_TRACE_ID_STRIDE`, so per-shard snapshots concatenated in
-/// shard order keep ids unique and parent links intact.
-pub const SHARD_TRACE_ID_STRIDE: u64 = 1 << 40;
 
 /// The `shard.skew` gauge emitted by [`ShardedServer::metrics`].
 const G_SHARD_SKEW: &str = "shard.skew";
@@ -204,11 +197,6 @@ impl<S: BlobStore> ShardedDb<S> {
         &self.shards[i]
     }
 
-    /// Mutable access to a shard's catalog.
-    pub fn shard_mut(&mut self, i: usize) -> &mut MediaDb<S> {
-        &mut self.shards[i]
-    }
-
     /// The shards in order.
     pub fn shards(&self) -> impl Iterator<Item = &MediaDb<S>> {
         self.shards.iter()
@@ -320,9 +308,6 @@ pub struct ShardedServer<S: BlobStore = MemBlobStore> {
     tracer: Tracer,
     /// Worker threads for parallel drives (1 = always sequential).
     workers: usize,
-    /// Per-shard tracers ([`ShardedServer::with_shard_tracers`]), in shard
-    /// order; empty when tracing is off or shared.
-    shard_tracers: Vec<Tracer>,
     /// Per-worker counters accumulated across parallel drives — host
     /// scheduling diagnostics, outside the determinism contract.
     pool_stats: Vec<WorkerStats>,
@@ -348,30 +333,20 @@ impl<S: BlobStore> ShardedServer<S> {
             clock: TimePoint::ZERO,
             tracer: Tracer::disabled(),
             workers: 1,
-            shard_tracers: Vec::new(),
             pool_stats: Vec::new(),
         }
     }
 
-    /// Builder: drives parallel runs on `workers` OS threads (clamped to
-    /// the shard count; 1 keeps every drive sequential). Same seed, same
-    /// requests ⇒ byte-identical stats, metrics and traces at *any* worker
-    /// count — see the `pool` module docs for why. Parallel drives
-    /// require per-shard tracing ([`ShardedServer::with_shard_tracers`]);
-    /// with a shared-ring tracer attached ([`ShardedServer::with_tracer`])
-    /// drives fall back to sequential so the shared timeline stays
-    /// deterministic.
-    pub fn with_workers(mut self, workers: usize) -> ShardedServer<S> {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Replaces the worker count mid-run, returning the previous one.
-    /// Takes effect at the next drive; because every drive's outcome is a
-    /// pure function of simulated time, changing the count between drives
-    /// never changes what gets served — only how fast. Operators (and the
-    /// throughput suite) use this to stage a large session wave cheaply at
-    /// one worker, then parallel-drain it.
+    /// Sets the number of OS threads that drive the shards (clamped to the
+    /// shard count; 1, the default, keeps every drive sequential) and
+    /// returns the previous count. Takes effect at the next drive; every
+    /// drive's outcome is a pure function of simulated time, so the count
+    /// never changes what gets served — only how fast (same seed, same
+    /// requests ⇒ byte-identical stats and metrics at any count; see the
+    /// `pool` module docs). A traced server drives sequentially whatever
+    /// the count ([`ShardedServer::with_tracer`]). Staging a large session
+    /// wave at one worker and raising the count for the drain is the usual
+    /// pattern.
     pub fn set_workers(&mut self, workers: usize) -> usize {
         std::mem::replace(&mut self.workers, workers.max(1))
     }
@@ -386,14 +361,15 @@ impl<S: BlobStore> ShardedServer<S> {
         self
     }
 
-    /// Builder: attaches one tracer to every shard (clones share the ring,
-    /// so all shards land in one timeline; session ids disambiguate).
+    /// Builder: attaches one tracer to every shard. Clones share the ring,
+    /// so all shards land in one timeline — the same one a
+    /// [`tbm_blob::FaultyBlobStore`] or [`tbm_blob::TieredBlobStore`] given
+    /// a clone writes its fault and tier events into; session ids tell the
+    /// shards apart.
     ///
-    /// A shared ring cannot take concurrent writers without the interleave
-    /// order depending on host scheduling, so this mode pins drives to the
-    /// sequential path even under [`ShardedServer::with_workers`]. For
-    /// traced *parallel* runs use [`ShardedServer::with_shard_tracers`];
-    /// of the two tracing modes, the one set last wins.
+    /// One ring cannot take concurrent writers without the interleave
+    /// order depending on host scheduling, so a traced server drives its
+    /// shards sequentially whatever [`ShardedServer::set_workers`] says.
     pub fn with_tracer(mut self, tracer: Tracer) -> ShardedServer<S> {
         self.shards = self
             .shards
@@ -401,29 +377,6 @@ impl<S: BlobStore> ShardedServer<S> {
             .map(|s| s.with_tracer(tracer.clone()))
             .collect();
         self.tracer = tracer;
-        self.shard_tracers.clear();
-        self
-    }
-
-    /// Builder: gives every shard its *own* tracer ring (each retaining at
-    /// most `capacity` records) with a disjoint record-id range
-    /// ([`SHARD_TRACE_ID_STRIDE`]), mirroring the session-id stride.
-    /// [`ShardedServer::trace`] concatenates the rings in shard order, so
-    /// the merged timeline is byte-identical at any worker count — this is
-    /// the tracing mode parallel drives require.
-    /// [`tbm_obs::DEFAULT_TRACE_CAPACITY`] is the usual `capacity`.
-    pub fn with_shard_tracers(mut self, capacity: usize) -> ShardedServer<S> {
-        let tracers: Vec<Tracer> = (0..self.shards.len())
-            .map(|i| Tracer::with_capacity_and_base(capacity, i as u64 * SHARD_TRACE_ID_STRIDE))
-            .collect();
-        self.shards = self
-            .shards
-            .into_iter()
-            .zip(tracers.iter())
-            .map(|(s, t)| s.with_tracer(t.clone()))
-            .collect();
-        self.tracer = Tracer::disabled();
-        self.shard_tracers = tracers;
         self
     }
 
@@ -555,8 +508,8 @@ impl<S: BlobStore> ShardedServer<S> {
     }
 
     /// Whether a drive with due work would use the worker pool: more than
-    /// one worker, more than one shard, and no shared-ring tracer (which
-    /// pins drives to the sequential path — see
+    /// one worker, more than one shard, and no tracer — a traced drive is
+    /// sequential, so the one ring sees its records in one order (see
     /// [`ShardedServer::with_tracer`]).
     fn pool_engaged(&self) -> bool {
         self.workers > 1 && self.shards.len() > 1 && !self.tracer.is_enabled()
@@ -581,13 +534,6 @@ impl<S: BlobStore> ShardedServer<S> {
         &self.pool_stats
     }
 
-    /// The per-shard tracers created by
-    /// [`ShardedServer::with_shard_tracers`], in shard order (empty in
-    /// shared-tracer or untraced mode).
-    pub fn shard_tracers(&self) -> &[Tracer] {
-        &self.shard_tracers
-    }
-
     /// A point-in-time cross-shard snapshot (per-shard + merged global).
     pub fn stats(&self) -> ShardedStats {
         ShardedStats::from_shards(self.shards.iter().map(|s| s.stats()).collect())
@@ -606,16 +552,10 @@ impl<S: BlobStore> ShardedServer<S> {
         rollup
     }
 
-    /// An owned snapshot of the fleet trace: the shared ring under
-    /// [`ShardedServer::with_tracer`], or the per-shard rings concatenated
-    /// in shard order under [`ShardedServer::with_shard_tracers`] (byte-
-    /// identical at any worker count). Empty when untraced.
+    /// An owned snapshot of the fleet trace ([`ShardedServer::with_tracer`]);
+    /// empty when untraced.
     pub fn trace(&self) -> TraceSnapshot {
-        if self.shard_tracers.is_empty() {
-            self.tracer.snapshot()
-        } else {
-            merge_snapshots(self.shard_tracers.iter().map(|t| t.snapshot()))
-        }
+        self.tracer.snapshot()
     }
 
     /// Writes the fleet trace ([`ShardedServer::trace`]) as Chrome
@@ -626,20 +566,9 @@ impl<S: BlobStore> ShardedServer<S> {
 
     /// Deadline-miss attribution over the fleet trace, fleet-wide, read in
     /// place. Session ids are globally unique, so per-session backlog
-    /// chaining never mixes sessions from different shards — which is also
-    /// why attributing per-shard rings one by one, in shard order, equals
-    /// attributing their merge.
+    /// chaining never mixes sessions from different shards.
     pub fn attribution(&self) -> AttributionReport {
-        let rings = if self.shard_tracers.is_empty() {
-            std::slice::from_ref(&self.tracer)
-        } else {
-            &self.shard_tracers[..]
-        };
-        let misses = rings
-            .iter()
-            .flat_map(|t| t.read(|trace| attribute(trace.records())).misses)
-            .collect();
-        AttributionReport { misses }
+        self.tracer.read(|trace| attribute(trace.records()))
     }
 }
 

@@ -7,7 +7,7 @@
 //! equal a `BTreeSet` of pending positions the test maintains itself — the
 //! representation the session's `pending` range replaced. The whole
 //! deterministic surface (stats, metrics render, trace bytes) must repeat
-//! exactly, run to run and at 1 and 4 workers.
+//! exactly run to run, and stats and metrics at 1 and 4 workers.
 
 use crate::{
     shard_of, Capacity, Request, Response, Server, ShardedDb, ShardedServer, SHARD_SESSION_STRIDE,
@@ -21,6 +21,7 @@ use tbm_core::SessionId;
 use tbm_interp::capture::capture_video_scalable;
 use tbm_interp::Interpretation;
 use tbm_media::gen::{render_frames, VideoPattern};
+use tbm_obs::Tracer;
 use tbm_player::{demanded_rate, schedule_from_interp};
 use tbm_time::{TimeDelta, TimePoint, TimeSystem};
 
@@ -153,19 +154,20 @@ fn settle(server: &ShardedServer<Store>, models: &mut [Model]) -> Result<(), Tes
     Ok(())
 }
 
-/// Runs `script` and returns the deterministic surface: stats, metrics
-/// render and Chrome trace bytes.
+/// Runs `script` at `workers` workers, on `tracer`, and returns the
+/// deterministic surface: stats, metrics render and Chrome trace bytes.
 fn run(
     seed: u64,
     script: &[(Step, i64)],
     workers: usize,
+    tracer: Tracer,
 ) -> Result<(String, String, Vec<u8>), TestCaseError> {
     let (db, full, base) = fixture(seed);
     let budget = |fulls: u64| Capacity::new(fulls * full + base + 1);
     let mut server = ShardedServer::new(db, budget(2))
         .with_cache_budget(1 << 20)
-        .with_shard_tracers(1 << 16)
-        .with_workers(workers);
+        .with_tracer(tracer);
+    server.set_workers(workers);
     let names = names();
     let mut models: Vec<Model> = Vec::new();
     let mut now = 0i64;
@@ -249,8 +251,7 @@ fn run(
     }
     let stats = server.finish();
     settle(&server, &mut models)?;
-    // The per-shard rings, attributed one by one in place, give the same
-    // report as the merged trace.
+    // Attribution read in place gives the same report as the snapshot.
     prop_assert_eq!(
         server.attribution(),
         tbm_obs::attribute(&server.trace().records)
@@ -268,9 +269,18 @@ proptest! {
         seed in 0u64..1_000,
         script in proptest::collection::vec(step(), 1..48),
     ) {
-        let first = run(seed, &script, 1)?;
-        prop_assert!(first == run(seed, &script, 1)?, "two runs of one script differ");
-        prop_assert!(first == run(seed, &script, 4)?, "1 and 4 workers differ");
+        let first = run(seed, &script, 1, Tracer::with_capacity(1 << 16))?;
+        prop_assert!(
+            first == run(seed, &script, 1, Tracer::with_capacity(1 << 16))?,
+            "two runs of one script differ"
+        );
+        // A traced drive never reaches the pool, so the worker arm runs
+        // untraced; stats and metrics match the traced run's.
+        let (stats, metrics, _) = run(seed, &script, 4, Tracer::disabled())?;
+        prop_assert!(
+            (first.0, first.1) == (stats, metrics),
+            "1 traced and 4 untraced workers differ"
+        );
     }
 }
 
@@ -284,7 +294,7 @@ fn generated_scripts_reach_the_degraded_paths() {
     let (mut degraded, mut upgraded, mut forced, mut dropped) = (0, 0, 0, 0);
     for seed in 0..24 {
         let script = strategy.generate(&mut rng);
-        let (_, metrics, _) = run(seed, &script, 1).unwrap();
+        let (_, metrics, _) = run(seed, &script, 1, Tracer::disabled()).unwrap();
         let count = |name: &str| {
             metrics
                 .lines()

@@ -80,6 +80,8 @@ done
 # A trace record costs one critical section: the tracer's ring mutex is
 # locked at one site, never once per attribute.
 once '.lock()' crates/obs/src/tracer.rs
+# Drive threads are spawned in one place: the shard pool.
+once 'thread::scope' crates/*/src
 
 echo "==> knob audit"
 # A public builder or setter that nothing outside its crate sets is a
@@ -96,6 +98,8 @@ audit() {
 audit serve crates/serve/src/{server,shard,fleet,capacity}.rs
 audit blob crates/blob/src/{fault,tiered}.rs
 audit player crates/player/src/*.rs
+audit obs crates/obs/src/*.rs
+audit query crates/query/src/*.rs
 [ "$unset_knobs" = 0 ]
 
 echo "==> benchmark smoke"

@@ -1,14 +1,16 @@
 //! Scaling storm: the parallel shard pool's determinism contract and
 //! cache-aware admission, end to end.
 //!
-//! * Same seed, same requests ⇒ byte-identical stats, rendered metrics and
-//!   exported traces at ANY worker count (1, 2, 4, 8) — the contract
-//!   DESIGN §16 spells out.
+//! * Same seed, same requests ⇒ byte-identical stats and rendered metrics
+//!   at ANY worker count (1, 2, 4, 8) — the contract DESIGN §16 spells
+//!   out — and, traced, byte-identical Chrome traces with the stores'
+//!   fault events in the one timeline, because a traced drive is
+//!   sequential.
 //! * Cache-aware admission: an object resident in the segment cache admits
 //!   sessions its cold twin would bounce, the decode stage still gates at
 //!   full demand, and evictions re-charge admitted sessions.
 
-use tbm::obs::{Tracer, DEFAULT_TRACE_CAPACITY, ELEMENT_SPAN};
+use tbm::obs::{Tracer, ELEMENT_SPAN};
 use tbm::prelude::*;
 use tbm::serve::{AdmitDecision, Request, Response, Server, ShardedStats};
 use tbm_bench::scenario::{catalog_with, demand, movie_db, movie_names, storm_plans, t, wave};
@@ -18,14 +20,17 @@ use tbm_bench::scenario::{catalog_with, demand, movie_db, movie_names, storm_pla
 // ---------------------------------------------------------------------------
 
 /// A sharded catalog of scalable movies over one seeded faulty store per
-/// shard (fault injection per shard, like per-machine storage).
+/// shard (fault injection per shard, like per-machine storage). Every
+/// store writes its fault events into `tracer`.
 fn sharded_faulty_db(
     names: &[String],
     shards: usize,
     seed: u64,
+    tracer: &Tracer,
 ) -> ShardedDb<FaultyBlobStore<MemBlobStore>> {
     let plans = storm_plans(shards, seed);
-    let faulty = |i: usize, store| FaultyBlobStore::new(store, plans[i]);
+    let faulty =
+        |i: usize, store| FaultyBlobStore::new(store, plans[i]).with_tracer(tracer.clone());
     catalog_with(names, shards, seed, (20, 48, 32), faulty)
 }
 
@@ -35,89 +40,71 @@ struct Surface {
     stats: ShardedStats,
     metrics: String,
     chrome_trace: Vec<u8>,
-    records: usize,
 }
 
-/// A 12-session staggered storm over 4 faulty shards, per-shard tracers
-/// on, driven at `workers` workers.
-fn traced_storm(workers: usize) -> Surface {
+/// A 12-session staggered storm over 4 faulty shards driven at `workers`
+/// workers; server and stores share `tracer`'s one ring. Also returns
+/// whether any drive engaged the worker pool.
+fn storm(workers: usize, tracer: &Tracer) -> (Surface, bool) {
     let seed = 0xBEEF;
     let shards = 4;
     let names = movie_names(6);
-    let db = sharded_faulty_db(&names, shards, seed);
+    let db = sharded_faulty_db(&names, shards, seed, tracer);
     let mut server = ShardedServer::new(db, Capacity::new(100_000_000))
         .with_cache_budget(16 << 20)
-        .with_shard_tracers(DEFAULT_TRACE_CAPACITY)
-        .with_workers(workers);
+        .with_tracer(tracer.clone());
+    server.set_workers(workers);
     let viewers = names.iter().cycle().take(12);
     wave(|at, r| Some(server.request(at, r).unwrap()), viewers, 150);
     let stats = server.finish();
     server.check_invariants().unwrap();
     let mut chrome_trace = Vec::new();
     server.trace_to_writer(&mut chrome_trace).unwrap();
-    Surface {
+    let surface = Surface {
         stats,
         metrics: server.metrics().render(),
-        records: server.trace().records.len(),
         chrome_trace,
-    }
+    };
+    (surface, !server.worker_stats().is_empty())
 }
 
 #[test]
 fn storm_is_byte_identical_at_any_worker_count() {
-    let base = traced_storm(1);
+    let (base, _) = storm(1, &Tracer::disabled());
     assert!(base.stats.global.elements_served > 0);
-    assert!(base.records > 0, "per-shard tracers must have recorded");
     for workers in [2usize, 4, 8] {
-        let run = traced_storm(workers);
+        let (run, pooled) = storm(workers, &Tracer::disabled());
         assert!(
-            base == run,
-            "stats/metrics/trace diverged at {workers} workers"
+            pooled,
+            "an untraced storm engages the pool at {workers} workers"
         );
+        assert!(base == run, "stats/metrics diverged at {workers} workers");
     }
 }
 
 #[test]
-fn tracing_mode_set_last_wins() {
-    // `with_shard_tracers` then `with_tracer` used to leave `trace()`
-    // merging the abandoned per-shard rings while the records went to the
-    // shared one. In either order the mode set last is the one in force.
-    for shared_last in [true, false] {
-        let names = movie_names(6);
-        let server = ShardedServer::new(
-            sharded_faulty_db(&names, 4, 0xBEEF),
-            Capacity::new(100_000_000),
+fn store_events_share_the_one_timeline_at_any_worker_count() {
+    // The stores got their tracer before the server existed; the server's
+    // element spans and the stores' fault events land in one ring, and the
+    // traced drive stays sequential at any worker count.
+    let traced = |workers| storm(workers, &Tracer::new());
+    let (base, pooled) = traced(1);
+    assert!(!pooled);
+    let json = String::from_utf8(base.chrome_trace.clone()).unwrap();
+    assert!(json.contains(ELEMENT_SPAN), "element spans recorded");
+    assert!(
+        json.contains("\"cat\":\"fault\""),
+        "store fault events recorded"
+    );
+    for workers in [2usize, 4] {
+        let (run, pooled) = traced(workers);
+        assert!(
+            !pooled,
+            "a traced storm is pinned sequential at {workers} workers"
         );
-        let shared = Tracer::new();
-        let mut server = if shared_last {
-            server
-                .with_shard_tracers(DEFAULT_TRACE_CAPACITY)
-                .with_tracer(shared.clone())
-        } else {
-            server
-                .with_tracer(shared.clone())
-                .with_shard_tracers(DEFAULT_TRACE_CAPACITY)
-        };
-        wave(|at, r| Some(server.request(at, r).unwrap()), &names, 0);
-        let stats = server.finish();
-        let element_spans = |records: &[tbm::obs::TraceRecord]| {
-            records.iter().filter(|r| r.name == ELEMENT_SPAN).count()
-        };
-        assert!(stats.global.elements_served > 0);
-        assert_eq!(
-            element_spans(&server.trace().records),
-            stats.global.elements_served,
-            "trace() must return the storm's records (shared last: {shared_last})"
-        );
-        assert_eq!(server.shard_tracers().is_empty(), shared_last);
-        assert_eq!(
-            element_spans(&shared.snapshot().records),
-            if shared_last {
-                stats.global.elements_served
-            } else {
-                0
-            },
-            "the shared ring is written exactly when it was set last"
+        assert!(
+            base == run,
+            "stats/metrics/trace diverged at {workers} workers"
         );
     }
 }
@@ -130,7 +117,7 @@ fn staged_drain_matches_sequential() {
         let seed = 0x7EE0;
         let shards = 4;
         let names = movie_names(8);
-        let db = sharded_faulty_db(&names, shards, seed);
+        let db = sharded_faulty_db(&names, shards, seed, &Tracer::disabled());
         let mut server = ShardedServer::new(db, Capacity::new(1 << 40));
         let viewers = names.iter().cycle().take(24);
         wave(|at, r| Some(server.request(at, r).unwrap()), viewers, 0);
