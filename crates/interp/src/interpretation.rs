@@ -53,6 +53,11 @@ impl Interpretation {
             })
     }
 
+    /// The stream at position `i` of [`Interpretation::streams`].
+    pub fn stream_at(&self, i: usize) -> Option<&StreamInterp> {
+        self.streams.get(i).map(|(_, s)| s)
+    }
+
     /// All stream names, in insertion order.
     pub fn stream_names(&self) -> Vec<&str> {
         self.streams.iter().map(|(n, _)| n.as_str()).collect()
@@ -120,6 +125,8 @@ mod tests {
         assert_eq!(interp.len(), 2);
         assert_eq!(interp.stream_names(), vec!["video1", "audio1"]);
         assert_eq!(interp.stream("video1").unwrap().len(), 3);
+        assert_eq!(interp.stream_at(1).unwrap().len(), 5);
+        assert!(interp.stream_at(2).is_none());
         assert!(interp.stream("nope").is_err());
         assert_eq!(interp.mapped_bytes(), 80);
     }

@@ -127,23 +127,14 @@ impl Capacity {
             .with_overhead_us(self.overhead_us)
     }
 
-    /// Whether a schedule demanding `demand` bytes/s fits next to
-    /// `committed` bytes/s of already-admitted demand. Bytes fetched are
-    /// bytes decoded, so one demand figure is checked against both stages.
-    pub fn fits(&self, committed: Rational, demand: Rational) -> bool {
-        let total = committed + demand;
-        if total > Rational::from(self.storage_bandwidth as i64) {
-            return false;
-        }
-        self.decode_rate == 0 || total <= Rational::from(self.decode_rate as i64)
-    }
-
-    /// The cache-aware stage check: the storage stage is charged
-    /// `storage_demand` (the residency-discounted figure) on top of
-    /// `committed_storage`, while the decode stage is charged the full
-    /// `decode_demand` on top of `committed_decode`. When the two committed
-    /// totals and the two demands coincide — the cache-unaware case — this
-    /// reduces exactly to [`Capacity::fits`].
+    /// The admission check: whether a session fits next to the demand
+    /// already admitted, stage by stage. The storage stage is charged
+    /// `storage_demand` bytes/s on top of `committed_storage`, the decode
+    /// stage `decode_demand` on top of `committed_decode`; each stage's
+    /// total must stay within its rate (a decode rate of 0 is free). With
+    /// cache-aware admission the storage figures are residency-discounted
+    /// and decode pays in full; without it each pair coincides, since
+    /// bytes fetched are bytes decoded.
     pub fn fits_staged(
         &self,
         committed_storage: Rational,
@@ -245,34 +236,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fits_checks_both_stages() {
-        let cap = Capacity::new(1_000_000).with_decode_rate(500_000);
+    fn fits_staged_reduces_to_fits_and_splits_stages() {
         let r = |n: i64| Rational::from(n);
-        assert!(cap.fits(r(0), r(400_000)));
+        // Equal figures on both stages, the cache-unaware case: the total
+        // must fit the tighter stage.
+        let fits = |cap: Capacity, c: i64, d: i64| cap.fits_staged(r(c), r(c), r(d), r(d));
+        let cap = Capacity::new(1_000_000).with_decode_rate(800_000);
+        for (c, d, fit) in [
+            (0, 400_000, true),
+            (0, 900_000, false),
+            (500_000, 400_000, false),
+        ] {
+            assert_eq!(fits(cap, c, d), fit, "{c} + {d}");
+        }
+        let tight_decode = Capacity::new(1_000_000).with_decode_rate(500_000);
+        assert!(fits(tight_decode, 0, 400_000));
         assert!(
-            !cap.fits(r(0), r(600_000)),
+            !fits(tight_decode, 0, 600_000),
             "decode is the tighter stage here"
         );
-        assert!(!cap.fits(r(400_000), r(200_000)));
-        assert_eq!(cap.service_rate(), 500_000);
-
+        assert!(!fits(tight_decode, 400_000, 200_000));
+        assert_eq!(tight_decode.service_rate(), 500_000);
         let free_decode = Capacity::new(1_000_000);
-        assert!(free_decode.fits(r(0), r(900_000)));
-        assert!(!free_decode.fits(r(500_000), r(600_000)));
+        assert!(fits(free_decode, 0, 900_000));
+        assert!(!fits(free_decode, 500_000, 600_000));
         assert_eq!(free_decode.service_rate(), 1_000_000);
-    }
-
-    #[test]
-    fn fits_staged_reduces_to_fits_and_splits_stages() {
-        let cap = Capacity::new(1_000_000).with_decode_rate(800_000);
-        let r = |n: i64| Rational::from(n);
-        // Equal demands on both stages: identical to the one-figure check.
-        for (c, d) in [(0, 400_000), (0, 900_000), (500_000, 400_000)] {
-            assert_eq!(
-                cap.fits_staged(r(c), r(c), r(d), r(d)),
-                cap.fits(r(c), r(d))
-            );
-        }
         // A fully resident session: storage stage charged 0, decode in full.
         assert!(cap.fits_staged(r(950_000), r(0), r(0), r(700_000)));
         // Decode still gates even when storage is free.

@@ -70,6 +70,8 @@ mod capacity;
 mod error;
 mod fleet;
 mod metrics;
+#[cfg(test)]
+mod plan_prop;
 mod pool;
 mod server;
 mod session;

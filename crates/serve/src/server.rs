@@ -28,10 +28,12 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::io;
 use std::ops::Range;
+use std::slice::SliceIndex;
 use std::sync::Arc;
 use tbm_blob::{BlobStore, MemBlobStore, RetryPolicy};
 use tbm_core::SessionId;
 use tbm_db::MediaDb;
+use tbm_interp::ElementEntry;
 use tbm_obs::{
     attribute, chrome_trace_to_writer, micros, AttributionReport, Attrs, Category, CounterId,
     GaugeId, HistogramId, MetricsRegistry, SpanId, TraceSnapshot, Tracer, ATTR_DECODE_US,
@@ -186,31 +188,6 @@ struct ElementOutcome {
     lateness: TimeDelta,
 }
 
-/// The cache-aware storage multiplier for the `pending` elements of a
-/// plan: the fraction of the bytes they will fetch that are *not* resident
-/// in the segment cache (1 = nothing resident, 0 = everything). Residency
-/// is probed with [`SegmentCache::contains`], which touches neither recency
-/// nor the hit/miss counters, so pricing a session never perturbs the
-/// cache state other sessions see. Admission prices a whole plan
-/// (`0..jobs.len()`) before any session exists.
-fn residency_discount(cache: &SegmentCache, plan: &ObjectPlan, pending: Range<usize>) -> Rational {
-    if !cache.is_enabled() {
-        return Rational::ONE;
-    }
-    let (mut total, mut resident) = (0u64, 0u64);
-    for span in plan.spans_of(pending) {
-        total += span.len;
-        if cache.contains(plan.blob, span) {
-            resident += span.len;
-        }
-    }
-    if total == 0 {
-        Rational::ONE
-    } else {
-        Rational::new((total - resident) as i64, total as i64)
-    }
-}
-
 /// The two plans of one catalog object: full fidelity, and — for a
 /// scalable stream, one with more than one placement layer somewhere —
 /// the base layer alone.
@@ -242,8 +219,8 @@ pub struct Server<S: BlobStore = MemBlobStore> {
     /// anything for, so the pass is skipped while this is 0.
     capped_live: usize,
     /// Every object opened so far, planned once and shared by its
-    /// sessions. The catalog is immutable while the server owns it, so
-    /// entries never go stale.
+    /// sessions. A plan reads its rows from `db`, which is immutable while
+    /// the server owns it, so entries never go stale.
     plans: HashMap<String, ObjectPlans>,
     /// First session id this server hands out; ids are `base..base+n`.
     /// Non-zero only under a [`crate::ShardedServer`], which gives each
@@ -565,15 +542,15 @@ impl<S: BlobStore> Server<S> {
             // live continuation was queued with a fresh epoch already.
             return None;
         }
-        Self::head_job(s)
+        self.head_job(s)
     }
 
     /// The heap entry for the earliest pending element of `s` under its
     /// current anchor.
-    fn head_job(s: &Session) -> Option<QueuedJob> {
+    fn head_job(&self, s: &Session) -> Option<QueuedJob> {
         let pos = s.pending.start;
         (!s.pending.is_empty()).then(|| QueuedJob {
-            deadline: s.queued_deadline(pos),
+            deadline: s.queued_deadline(s.plan.rows(&self.db), pos),
             session: s.id.raw(),
             pos,
             epoch: s.epoch,
@@ -637,23 +614,48 @@ impl<S: BlobStore> Server<S> {
         }
     }
 
+    /// What a session fetching the `pending` rows of `plan` at `demand`
+    /// bytes/s is charged on the storage stage. Under cache-aware
+    /// admission that is `demand` scaled by the fraction of those rows'
+    /// bytes *not* resident in the segment cache (a disabled cache holds
+    /// nothing); otherwise it is `demand`. Residency is probed with
+    /// [`SegmentCache::contains`], which touches neither recency nor the
+    /// hit/miss counters, so pricing a session never perturbs the cache
+    /// state other sessions see.
+    fn storage_charge<R>(&self, plan: &ObjectPlan, pending: R, demand: Rational) -> Rational
+    where
+        R: SliceIndex<[ElementEntry], Output = [ElementEntry]>,
+    {
+        if !self.capacity.cache_aware || !self.cache.is_enabled() {
+            return demand;
+        }
+        let (mut total, mut resident) = (0u64, 0u64);
+        for span in plan.spans_of(&plan.rows(&self.db)[pending]) {
+            total += span.len;
+            if self.cache.contains(plan.blob, span) {
+                resident += span.len;
+            }
+        }
+        if total == 0 {
+            demand
+        } else {
+            demand * Rational::new((total - resident) as i64, total as i64)
+        }
+    }
+
     // ------------------------------------------------------------------
     // Request handlers
     // ------------------------------------------------------------------
 
-    /// The plans of `object`, built from the catalog on its first `Open`.
+    /// The plans of `object`, made on its first `Open`.
     fn plans_of(&mut self, object: &str) -> Result<&ObjectPlans, ServeError> {
         if !self.plans.contains_key(object) {
-            let (interp, stream) = self.db.stream_of(object)?;
-            let scalable = stream
-                .entries()
-                .iter()
-                .any(|e| e.placement.layer_count() > 1);
-            let plan = |cap| Arc::new(ObjectPlan::build(object, stream, interp.blob(), cap));
-            let plans = ObjectPlans {
-                full: plan(None),
-                base: scalable.then(|| plan(Some(1))),
-            };
+            let plan = |cap| ObjectPlan::new(&self.db, object, cap).map(Arc::new);
+            let full = plan(None)?;
+            let rows = full.rows(&self.db);
+            let scalable = rows.iter().any(|e| e.placement.layer_count() > 1);
+            let base = scalable.then(|| plan(Some(1))).transpose()?;
+            let plans = ObjectPlans { full, base };
             self.plans.insert(object.to_owned(), plans);
         }
         Ok(&self.plans[object])
@@ -673,13 +675,7 @@ impl<S: BlobStore> Server<S> {
         // Cache-aware admission prices the *storage* stage at the demand
         // discounted by current residency; the decode stage always pays in
         // full, since a cache hit skips the fetch but not the decode.
-        let charge_of = |plan: &ObjectPlan| {
-            if gate.cache_aware {
-                plan.unit_demand * residency_discount(&self.cache, plan, 0..plan.jobs.len())
-            } else {
-                plan.unit_demand
-            }
-        };
+        let charge_of = |plan: &ObjectPlan| self.storage_charge(plan, .., plan.unit_demand);
         let fits = |plan: &ObjectPlan, charged: Rational| {
             gate.fits_staged(
                 self.committed,
@@ -699,25 +695,19 @@ impl<S: BlobStore> Server<S> {
             AdmissionPolicy::Enforce if fits(&full, full_charge) => {
                 Ok((AdmitDecision::Admitted, full, full_charge))
             }
-            AdmissionPolicy::Enforce => {
-                let base = base.map(|base| {
-                    let charge = charge_of(&base);
-                    (base, charge)
-                });
-                match base {
-                    Some((base, charge)) if fits(&base, charge) => {
-                        Ok((AdmitDecision::Degraded { layers: 1 }, base, charge))
-                    }
-                    base => {
-                        let cheapest = base.map_or(full.unit_demand, |(b, _)| b.unit_demand);
-                        let headroom = Rational::from(gate.service_rate() as i64) - self.committed;
-                        Err(RejectReason::Saturated {
-                            demanded_bps: cheapest.floor().max(0) as u64,
-                            available_bps: headroom.floor().max(0) as u64,
-                        })
-                    }
+            AdmissionPolicy::Enforce => match base.map(|base| (charge_of(&base), base)) {
+                Some((charge, base)) if fits(&base, charge) => {
+                    Ok((AdmitDecision::Degraded { layers: 1 }, base, charge))
                 }
-            }
+                base => {
+                    let cheapest = base.map_or(full.unit_demand, |(_, b)| b.unit_demand);
+                    let headroom = Rational::from(gate.service_rate() as i64) - self.committed;
+                    Err(RejectReason::Saturated {
+                        demanded_bps: cheapest.floor().max(0) as u64,
+                        available_bps: headroom.floor().max(0) as u64,
+                    })
+                }
+            },
         };
 
         let (decision, plan, charged) = match admitted {
@@ -778,12 +768,12 @@ impl<S: BlobStore> Server<S> {
         let session = Session {
             id,
             state: SessionState::Opened,
-            pending: 0..plan.jobs.len(),
+            pending: 0..plan.rows(&self.db).len(),
             plan,
             epoch: 0,
             rate: (1, 1),
             play_time: TimePoint::ZERO,
-            anchor_rel: Rational::ZERO,
+            anchor_tick: 0,
             clock_base: None,
             demand,
             charged,
@@ -828,7 +818,7 @@ impl<S: BlobStore> Server<S> {
     /// anchor — the session's single live heap entry; the event loop queues
     /// each successor as it serves (see [`QueuedJob`]).
     fn enqueue_next(&mut self, idx: usize) {
-        if let Some(job) = Self::head_job(&self.sessions[idx]) {
+        if let Some(job) = self.head_job(&self.sessions[idx]) {
             self.heap.push(Reverse(job));
         }
     }
@@ -865,7 +855,7 @@ impl<S: BlobStore> Server<S> {
             self.retire(idx, SessionState::Finished);
         } else {
             s.state = SessionState::Playing;
-            s.anchor(at);
+            s.anchor(s.plan.rows(&self.db), at);
         }
         self.tracer.event_with(
             "session.play",
@@ -916,9 +906,8 @@ impl<S: BlobStore> Server<S> {
         let idx = self.slot_for(id, "Seek", Session::is_active)?;
         // Everything at or after `to` on the unit-rate stream timeline
         // becomes pending again; a backwards seek re-presents elements.
-        // Jobs are in deadline order, so that is a suffix.
-        let jobs = &self.sessions[idx].plan.jobs;
-        let pending = jobs.partition_point(|j| j.deadline < to)..jobs.len();
+        let plan = &self.sessions[idx].plan;
+        let pending = plan.seek(plan.rows(&self.db), to);
         let remaining = pending.len();
         self.set_pending(idx, pending);
         let s = &mut self.sessions[idx];
@@ -941,7 +930,8 @@ impl<S: BlobStore> Server<S> {
             self.tracer.end_span(span, at);
             self.try_upgrade_sessions(at);
         } else if playing {
-            self.sessions[idx].anchor(at);
+            let s = &mut self.sessions[idx];
+            s.anchor(s.plan.rows(&self.db), at);
             self.enqueue_next(idx);
         }
         Ok(Response::Sought {
@@ -966,11 +956,7 @@ impl<S: BlobStore> Server<S> {
         // re-run the admission check on the delta (residency-discounted on
         // the storage stage under cache-aware admission).
         let new_demand = s.plan.unit_demand * Rational::new(num as i64, den as i64);
-        let new_charged = if self.capacity.cache_aware {
-            new_demand * residency_discount(&self.cache, &s.plan, s.pending.clone())
-        } else {
-            new_demand
-        };
+        let new_charged = self.storage_charge(&s.plan, s.pending.clone(), new_demand);
         let rest = self.committed - s.charged;
         let rest_decode = self.committed_decode - s.demand;
         if self.capacity.policy == AdmissionPolicy::Enforce
@@ -1001,7 +987,7 @@ impl<S: BlobStore> Server<S> {
             },
         );
         if s.state == SessionState::Playing {
-            s.anchor(at);
+            s.anchor(s.plan.rows(&self.db), at);
             self.enqueue_next(idx);
         }
         Ok(Response::RateSet {
@@ -1090,7 +1076,7 @@ impl<S: BlobStore> Server<S> {
     fn reprice_sessions(&mut self) {
         // No is_enabled() gate: disabling the cache mid-run (budget 0)
         // evicts everything, and the sessions priced against residency
-        // must be re-charged full demand — residency_discount reads a
+        // must be re-charged full demand — storage_charge reads a
         // disabled cache as zero-resident. A never-enabled cache stays at
         // generation 0 and returns below.
         let generation = self.cache.generation();
@@ -1098,9 +1084,13 @@ impl<S: BlobStore> Server<S> {
             return;
         }
         self.repriced_gen = generation;
-        for s in self.sessions.iter_mut().filter(|s| s.is_active()) {
-            let new_charged =
-                s.demand * residency_discount(&self.cache, &s.plan, s.pending.clone());
+        for idx in 0..self.sessions.len() {
+            let s = &self.sessions[idx];
+            if !s.is_active() {
+                continue;
+            }
+            let new_charged = self.storage_charge(&s.plan, s.pending.clone(), s.demand);
+            let s = &mut self.sessions[idx];
             if new_charged != s.charged {
                 self.committed = self.committed - s.charged + new_charged;
                 s.charged = new_charged;
@@ -1114,15 +1104,12 @@ impl<S: BlobStore> Server<S> {
     /// demands (queued jobs of the old epoch go stale, exactly as for
     /// Seek/SetRate). Recorded as a `name` trace event.
     fn replan(&mut self, idx: usize, plan: Arc<ObjectPlan>, at: TimePoint, name: &'static str) {
+        let (num, den) = self.sessions[idx].rate;
+        let new_demand = plan.unit_demand * Rational::new(num as i64, den as i64);
+        let new_charged =
+            self.storage_charge(&plan, self.sessions[idx].pending.clone(), new_demand);
         let s = &mut self.sessions[idx];
         let was = s.is_capped_live();
-        let (num, den) = s.rate;
-        let new_demand = plan.unit_demand * Rational::new(num as i64, den as i64);
-        let new_charged = if self.capacity.cache_aware {
-            new_demand * residency_discount(&self.cache, &plan, s.pending.clone())
-        } else {
-            new_demand
-        };
         self.committed = self.committed - s.charged + new_charged;
         self.committed_decode = self.committed_decode - s.demand + new_demand;
         s.plan = plan;
@@ -1135,7 +1122,7 @@ impl<S: BlobStore> Server<S> {
                 a.put("remaining", remaining)
             });
         if s.state == SessionState::Playing {
-            s.anchor(at);
+            s.anchor(s.plan.rows(&self.db), at);
             self.enqueue_next(idx);
         } else {
             s.epoch += 1;
@@ -1292,9 +1279,9 @@ impl<S: BlobStore> Server<S> {
         for s in &self.sessions {
             let id = s.id;
             let p = &s.pending;
-            let jobs = s.plan.jobs.len();
-            if p.start > p.end || p.end > jobs {
-                return Err(format!("{id}: pending {p:?} outside its {jobs} jobs"));
+            let rows = s.plan.rows(&self.db).len();
+            if p.start > p.end || p.end > rows {
+                return Err(format!("{id}: pending {p:?} outside its {rows} rows"));
             }
             if !s.is_active() && !p.is_empty() && s.state != SessionState::Closed {
                 return Err(format!("{id}: {} with {} pending", s.state, p.len()));
@@ -1337,7 +1324,7 @@ impl<S: BlobStore> Server<S> {
                 continue; // stale
             }
             live[idx] += 1;
-            if Some(job) != Self::head_job(s) {
+            if Some(job) != self.head_job(s) {
                 return Err(format!("{}: live heap entry {job:?} is not its head", s.id));
             }
         }
@@ -1435,7 +1422,7 @@ impl<S: BlobStore> Server<S> {
         let s = &mut self.sessions[idx];
         let store = self.db.store();
         let blob = s.plan.blob;
-        let layers = s.plan.layers_of(job.pos);
+        let layers = s.plan.layers_of(&s.plan.rows(&self.db)[job.pos]);
         e.layers = layers.len();
         e.attempts_max = 1;
         // Slack before this element is late — the store's hedging budget,
@@ -1443,7 +1430,7 @@ impl<S: BlobStore> Server<S> {
         // first miss only. None until the presentation clock is
         // established.
         let slack_us = OnceCell::new();
-        for (li, &(layer_span, expected_crc)) in layers.iter().enumerate() {
+        for (li, (layer_span, expected_crc)) in layers.enumerate() {
             let probe = |a: &mut Attrs<'_>| {
                 a.put("layer", li);
                 a.put("bytes", layer_span.len);

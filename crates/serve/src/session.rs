@@ -1,15 +1,16 @@
 //! Sessions: per-client playback state inside the server, and the typed
 //! request/response API that drives them.
 
-use crate::AdmitDecision;
+use crate::{AdmitDecision, ServeError};
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
-use tbm_blob::ByteSpan;
-use tbm_core::{BlobId, SessionId};
-use tbm_interp::StreamInterp;
+use tbm_blob::{BlobStore, ByteSpan};
+use tbm_core::{BlobId, InterpretationId, SessionId};
+use tbm_db::{MediaDb, Origin};
+use tbm_interp::ElementEntry;
 use tbm_obs::SpanId;
-use tbm_player::{demanded_rate, schedule_from_interp, ElementJob};
+use tbm_player::{demanded_rate, schedule_from_interp};
 use tbm_time::{Rational, TimeDelta, TimePoint, TimeSystem};
 
 /// The lifecycle of a session.
@@ -166,81 +167,99 @@ impl SessionStats {
     }
 }
 
-/// Everything a server derives from one catalog object at one fidelity:
-/// the unit-rate schedule, every element's fetch plan (the placement spans
-/// a session may read, capped at `layers_cap`, with their recorded
-/// checksums) and the byte rate it commits.
-///
-/// Built on the first `Open` of the object and shared, immutably, by every
-/// session playing it at this fidelity — a server's catalog cannot change
-/// while the server owns it, so a plan is valid for the server's lifetime.
-/// An upgrade or a forced degradation hands the session the object's other
-/// plan; serving an element never needs the catalog.
+/// One catalog object at one fidelity: what is per object, and a handle to
+/// the stream's rows in the server's [`MediaDb`] — a view of the catalog's
+/// element table (§4.1), never a copy. Every per-element question (when is
+/// `pos` due, what does it fetch, where does a seek land) is answered from
+/// those rows, in the stream's ticks. The catalog cannot change while the
+/// server owns it, so the handle stays valid. Shared by every session at
+/// this fidelity; an upgrade or a forced degradation hands a session the
+/// object's other plan: the same rows, another cap.
 #[derive(Debug)]
 pub(crate) struct ObjectPlan {
     pub object: String,
     pub blob: BlobId,
     pub system: TimeSystem,
+    /// The stream's interpretation, and its position among that
+    /// interpretation's streams.
+    table: (InterpretationId, usize),
     /// Placement layers a session on this plan may fetch per element
     /// (`None` = full fidelity).
     pub layers_cap: Option<usize>,
-    /// Unit-rate schedule relative to the stream start, in deadline order.
-    pub jobs: Vec<ElementJob>,
-    /// Every element's allowed spans and checksums, back to back.
-    layers: Vec<(ByteSpan, Option<u32>)>,
-    /// `layers[starts[pos]..starts[pos + 1]]` is the fetch plan of `pos`.
-    starts: Vec<usize>,
     /// Bytes/s a session on this plan commits at unit rate.
     pub unit_demand: Rational,
 }
 
 impl ObjectPlan {
-    pub(crate) fn build(
+    /// The plan of catalog object `object` at `layers_cap`. Its demand is
+    /// worked out once, by its definition, over a schedule dropped again.
+    pub(crate) fn new<S: BlobStore>(
+        db: &MediaDb<S>,
         object: &str,
-        stream: &StreamInterp,
-        blob: BlobId,
         layers_cap: Option<usize>,
-    ) -> ObjectPlan {
+    ) -> Result<ObjectPlan, ServeError> {
+        let (interp, stream) = db.stream_of(object)?;
+        let Origin::Interpreted {
+            interpretation,
+            stream: name,
+        } = &db.object(object)?.origin
+        else {
+            unreachable!("only an interpreted object has a stream");
+        };
+        let position = interp.streams().position(|(n, _)| n == name);
         let jobs = schedule_from_interp(stream, layers_cap);
-        debug_assert!(jobs.windows(2).all(|w| w[0].deadline <= w[1].deadline));
-        let unit_demand = demanded_rate(&jobs, stream.system()).unwrap_or(Rational::ZERO);
-        let mut layers = Vec::new();
-        let mut starts = Vec::with_capacity(jobs.len() + 1);
-        for job in &jobs {
-            let entry = &stream.entries()[job.index];
-            let all = entry.placement.layers();
-            let take = layers_cap.unwrap_or(all.len()).min(all.len()).max(1);
-            starts.push(layers.len());
-            layers.extend(
-                all[..take]
-                    .iter()
-                    .enumerate()
-                    .map(|(li, &span)| (span, entry.checksums.get(li).copied())),
-            );
-        }
-        starts.push(layers.len());
-        ObjectPlan {
+        Ok(ObjectPlan {
             object: object.to_owned(),
-            blob,
+            blob: interp.blob(),
             system: stream.system(),
+            table: (*interpretation, position.expect("found by this name")),
             layers_cap,
-            jobs,
-            layers,
-            starts,
-            unit_demand,
-        }
+            unit_demand: demanded_rate(&jobs, stream.system()).unwrap_or(Rational::ZERO),
+        })
     }
 
-    /// The spans (and checksums) element `pos` fetches.
-    pub(crate) fn layers_of(&self, pos: usize) -> &[(ByteSpan, Option<u32>)] {
-        &self.layers[self.starts[pos]..self.starts[pos + 1]]
+    /// The catalog's rows of this plan's stream, start-ordered: position
+    /// `pos` of a session's `pending` run is row `pos`.
+    pub(crate) fn rows<'a, S: BlobStore>(&self, db: &'a MediaDb<S>) -> &'a [ElementEntry] {
+        let (id, stream) = self.table;
+        let stream = db.interpretation(id).and_then(|i| i.stream_at(stream));
+        stream.expect("the server's catalog is immutable").entries()
     }
 
-    /// The spans every element of `pending` fetches.
-    pub(crate) fn spans_of(&self, pending: Range<usize>) -> impl Iterator<Item = ByteSpan> + '_ {
-        self.layers[self.starts[pending.start]..self.starts[pending.end]]
+    /// The spans (and recorded checksums) a session on this plan fetches
+    /// of `row`: its placement layers up to the cap, base first.
+    pub(crate) fn layers_of<'a>(
+        &self,
+        row: &'a ElementEntry,
+    ) -> impl ExactSizeIterator<Item = (ByteSpan, Option<u32>)> + 'a {
+        let all = row.placement.layers();
+        let take = self.layers_cap.unwrap_or(all.len()).min(all.len()).max(1);
+        let checksum = |li: usize| row.checksums.get(li).copied();
+        all[..take]
             .iter()
-            .map(|&(span, _)| span)
+            .enumerate()
+            .map(move |(li, &span)| (span, checksum(li)))
+    }
+
+    /// The spans every one of `rows` fetches.
+    pub(crate) fn spans_of<'a>(
+        &'a self,
+        rows: &'a [ElementEntry],
+    ) -> impl Iterator<Item = ByteSpan> + 'a {
+        rows.iter()
+            .flat_map(|row| self.layers_of(row).map(|(span, _)| span))
+    }
+
+    /// What a seek to `to` on the stream's unit-rate timeline leaves
+    /// pending: the suffix of rows due at or after `to`. A row is due
+    /// `start − first start` ticks in, so it lies before `to` exactly when
+    /// that count is below `to` in ticks, rounded up (saturated, so no
+    /// instant is out of range).
+    pub(crate) fn seek(&self, rows: &[ElementEntry], to: TimePoint) -> Range<usize> {
+        let origin = rows.first().map_or(0, |e| e.start);
+        let tick = to.seconds().checked_mul(self.system.frequency());
+        let tick = tick.map_or(i64::MAX * to.seconds().signum(), Rational::ceil);
+        rows.partition_point(|e| e.start - origin < tick)..rows.len()
     }
 }
 
@@ -252,14 +271,14 @@ impl ObjectPlan {
 pub struct Session {
     pub(crate) id: SessionId,
     pub(crate) state: SessionState,
-    /// The object's schedule and fetch plans at this session's fidelity.
-    /// Swapped for the object's other plan by an upgrade or a forced
-    /// degradation; `plan.layers_cap` is the session's fidelity cap, and
-    /// with it its standing admission decision.
+    /// The object at this session's fidelity, a view of its rows in the
+    /// catalog. Swapped for the object's other plan by an upgrade or a
+    /// forced degradation; `plan.layers_cap` is the session's fidelity
+    /// cap, and with it its standing admission decision.
     pub(crate) plan: Arc<ObjectPlan>,
-    /// Positions in `plan.jobs` not yet served. Jobs are in deadline
-    /// order and served in order, so what is left is always a contiguous
-    /// run: serving advances the start, a seek resets it to a suffix.
+    /// Rows of the plan's stream not yet served. Rows are in start order
+    /// and served in order, so what is left is always a contiguous run:
+    /// serving advances the start, a seek resets it to a suffix.
     pub(crate) pending: Range<usize>,
     /// Bumped on every Play/Pause/Seek/SetRate/Close so queued jobs from an
     /// older schedule generation are ignored when popped.
@@ -268,9 +287,9 @@ pub struct Session {
     pub(crate) rate: (u32, u32),
     /// Simulated time of the anchoring Play/Seek/SetRate.
     pub(crate) play_time: TimePoint,
-    /// Scaled relative deadline (seconds) of the first pending element at
-    /// the anchor.
-    pub(crate) anchor_rel: Rational,
+    /// Start tick of the first pending row at the anchor; a row is due
+    /// its start's distance from this tick past `play_time`.
+    pub(crate) anchor_tick: i64,
     /// Completion time of the first element served after the anchor; the
     /// presentation clock runs from here (a one-element startup buffer,
     /// matching `PlaybackSim::with_startup(1)`).
@@ -369,30 +388,25 @@ impl Session {
         self.is_active() && self.plan.layers_cap.is_some() && !self.pending.is_empty()
     }
 
-    /// How far past the anchor's first element `pos` is due, in seconds at
-    /// the current playback rate.
-    fn rel(&self, pos: usize) -> Rational {
-        let (num, den) = self.rate;
-        self.plan.jobs[pos].deadline.seconds() * Rational::new(den as i64, num as i64)
-    }
-
     /// The absolute deadline `pos` is queued under: the anchor instant
-    /// plus its distance from the anchor's first element. The same
-    /// distance past the session's `clock_base` is its presentation
-    /// deadline, so the serve path recovers it from the queued deadline.
-    pub(crate) fn queued_deadline(&self, pos: usize) -> TimePoint {
-        self.play_time + TimeDelta::from_seconds(self.rel(pos) - self.anchor_rel)
+    /// plus the ticks from the anchor's row to row `pos`, in seconds at
+    /// the current playback rate. The same distance past the session's
+    /// `clock_base` is its presentation deadline, so the serve path
+    /// recovers it from the queued deadline.
+    pub(crate) fn queued_deadline(&self, rows: &[ElementEntry], pos: usize) -> TimePoint {
+        let (num, den) = self.rate;
+        let ticks = self
+            .plan
+            .system
+            .ticks_to_delta(rows[pos].start - self.anchor_tick);
+        self.play_time + ticks.scale(Rational::new(den as i64, num as i64))
     }
 
     /// Re-anchors the schedule at `at` from the current first pending
-    /// element, restarting the presentation clock.
-    pub(crate) fn anchor(&mut self, at: TimePoint) {
+    /// row, restarting the presentation clock.
+    pub(crate) fn anchor(&mut self, rows: &[ElementEntry], at: TimePoint) {
         self.play_time = at;
-        self.anchor_rel = if self.pending.is_empty() {
-            Rational::ZERO
-        } else {
-            self.rel(self.pending.start)
-        };
+        self.anchor_tick = rows.get(self.pending.start).map_or(0, |e| e.start);
         self.clock_base = None;
         self.epoch += 1;
     }

@@ -64,6 +64,12 @@ pub use tbm_query as query;
 pub use tbm_serve as serve;
 pub use tbm_time as time;
 
+/// The README's examples, compiled as doctests so that an API change which
+/// leaves one of them stale fails the build.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+pub struct ReadmeDoctests;
+
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use tbm_blob::{
