@@ -23,7 +23,9 @@
 //! variable rates."
 //!
 //! The coder also exposes [`encode_plane_i16`]/[`decode_plane_i16`] on raw
-//! centered planes, reused by the interframe coder for residuals.
+//! centered planes. The crate's other frame coders (scalable layers,
+//! interframe residuals) code their planes through the same crate-private
+//! three-plane coder as [`encode_frame`].
 
 use crate::{BitReader, BitWriter, CodecError};
 use tbm_media::{Frame, PixelFormat};
@@ -272,31 +274,125 @@ pub fn quant_matrices(params: DctParams) -> ([i32; 64], [i32; 64]) {
     )
 }
 
+/// The centered (±128) planes of a YUV 4:2:0 frame, luma first.
+#[derive(Clone)]
+pub(crate) struct Planes {
+    pub(crate) y: Vec<i16>,
+    pub(crate) u: Vec<i16>,
+    pub(crate) v: Vec<i16>,
+}
+
+impl Planes {
+    /// The planes of `frame`, converted to YUV 4:2:0 first.
+    pub(crate) fn of(frame: &Frame) -> Planes {
+        let f = frame.to_format(PixelFormat::Yuv420);
+        let (w, h) = (f.width() as usize, f.height() as usize);
+        let n = w * h;
+        let c = w.div_ceil(2) * h.div_ceil(2);
+        let d = f.data();
+        let center = |b: &[u8]| -> Vec<i16> { b.iter().map(|&x| x as i16 - 128).collect() };
+        Planes {
+            y: center(&d[..n]),
+            u: center(&d[n..n + c]),
+            v: center(&d[n + c..]),
+        }
+    }
+
+    /// `f` applied sample by sample to these planes and `other`'s.
+    pub(crate) fn zip(&self, other: &Planes, f: impl Fn(i16, i16) -> i16) -> Planes {
+        let zip = |a: &[i16], b: &[i16]| a.iter().zip(b).map(|(&a, &b)| f(a, b)).collect();
+        Planes {
+            y: zip(&self.y, &other.y),
+            u: zip(&self.u, &other.u),
+            v: zip(&self.v, &other.v),
+        }
+    }
+
+    /// The `width × height` YUV 4:2:0 frame of these planes; `None` when
+    /// their sizes do not fit that geometry.
+    pub(crate) fn to_frame(&self, width: u32, height: u32) -> Option<Frame> {
+        let mut data = Vec::with_capacity(PixelFormat::Yuv420.byte_len(width, height));
+        for plane in [&self.y, &self.u, &self.v] {
+            data.extend(plane.iter().map(|&v| (v + 128).clamp(0, 255) as u8));
+        }
+        Frame::from_raw(width, height, PixelFormat::Yuv420, data)
+    }
+}
+
+/// Codes the [`Planes`] of one geometry as one bitstream, luma then the
+/// two chroma planes, each through [`encode_plane_i16`] with its
+/// quantization table.
+pub(crate) struct PlaneCoder {
+    /// Luma width.
+    pub(crate) w: usize,
+    /// Luma height.
+    pub(crate) h: usize,
+    /// Chroma width.
+    pub(crate) cw: usize,
+    /// Chroma height.
+    pub(crate) ch: usize,
+    lq: [i32; 64],
+    cq: [i32; 64],
+}
+
+impl PlaneCoder {
+    /// A coder for `w × h` luma at `params`' quantizer.
+    pub(crate) fn new(w: usize, h: usize, params: DctParams) -> PlaneCoder {
+        let (lq, cq) = quant_matrices(params);
+        PlaneCoder {
+            w,
+            h,
+            cw: w.div_ceil(2),
+            ch: h.div_ceil(2),
+            lq,
+            cq,
+        }
+    }
+
+    /// The bitstream of `p`.
+    pub(crate) fn encode(&self, p: &Planes) -> Vec<u8> {
+        let mut writer = BitWriter::new();
+        encode_plane_i16(&p.y, self.w, self.h, &self.lq, &mut writer);
+        encode_plane_i16(&p.u, self.cw, self.ch, &self.cq, &mut writer);
+        encode_plane_i16(&p.v, self.cw, self.ch, &self.cq, &mut writer);
+        writer.into_bytes()
+    }
+
+    /// The planes a bitstream of [`PlaneCoder::encode`] codes.
+    pub(crate) fn decode(&self, data: &[u8]) -> Result<Planes, CodecError> {
+        let mut reader = BitReader::new(data);
+        Ok(Planes {
+            y: decode_plane_i16(&mut reader, self.w, self.h, &self.lq)?,
+            u: decode_plane_i16(&mut reader, self.cw, self.ch, &self.cq)?,
+            v: decode_plane_i16(&mut reader, self.cw, self.ch, &self.cq)?,
+        })
+    }
+
+    /// Encodes `p`, then reconstructs it as a decoder will see it — what
+    /// a prediction loop must predict from (quantization in the loop, or
+    /// encoder and decoder drift).
+    pub(crate) fn encode_recon(&self, p: &Planes) -> (Vec<u8>, Planes) {
+        let data = self.encode(p);
+        let recon = self.decode(&data).expect("own bitstream decodes");
+        (data, recon)
+    }
+}
+
 /// Encodes a frame intraframe. Any input format is converted to the
 /// chroma-subsampled YUV layout first (the Fig. 2 pipeline).
 ///
 /// Output layout: `magic(2) | w(2) | h(2) | quant_percent(2) | bitstream`.
 pub fn encode_frame(frame: &Frame, params: DctParams) -> Vec<u8> {
-    let f = frame.to_format(PixelFormat::Yuv420);
-    let w = f.width() as usize;
-    let h = f.height() as usize;
-    let (cw, ch) = (w.div_ceil(2), h.div_ceil(2));
-    let data = f.data();
-    let n = w * h;
+    let (width, height) = (frame.width(), frame.height());
+    let coder = PlaneCoder::new(width as usize, height as usize, params);
+    let bits = coder.encode(&Planes::of(frame));
 
-    let (lq, cq) = quant_matrices(params);
-    let mut writer = BitWriter::new();
-    let center = |bytes: &[u8]| -> Vec<i16> { bytes.iter().map(|&b| b as i16 - 128).collect() };
-    encode_plane_i16(&center(&data[..n]), w, h, &lq, &mut writer);
-    encode_plane_i16(&center(&data[n..n + cw * ch]), cw, ch, &cq, &mut writer);
-    encode_plane_i16(&center(&data[n + cw * ch..]), cw, ch, &cq, &mut writer);
-
-    let mut out = Vec::with_capacity(8 + writer.byte_len());
+    let mut out = Vec::with_capacity(8 + bits.len());
     out.extend_from_slice(b"DJ");
-    out.extend_from_slice(&(f.width() as u16).to_le_bytes());
-    out.extend_from_slice(&(f.height() as u16).to_le_bytes());
+    out.extend_from_slice(&(width as u16).to_le_bytes());
+    out.extend_from_slice(&(height as u16).to_le_bytes());
     out.extend_from_slice(&params.quant_percent.to_le_bytes());
-    out.extend_from_slice(&writer.into_bytes());
+    out.extend_from_slice(&bits);
     out
 }
 
@@ -311,21 +407,10 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, CodecError> {
     if w == 0 || h == 0 {
         return Err(CodecError::bad_geometry("dct", "zero dimension"));
     }
-    let params = DctParams::with_quant(quant_percent);
-    let (lq, cq) = quant_matrices(params);
-    let (cw, ch) = (w.div_ceil(2), h.div_ceil(2));
-    let mut reader = BitReader::new(&bytes[8..]);
-    let y = decode_plane_i16(&mut reader, w, h, &lq)?;
-    let u = decode_plane_i16(&mut reader, cw, ch, &cq)?;
-    let v = decode_plane_i16(&mut reader, cw, ch, &cq)?;
-    let mut data = Vec::with_capacity(PixelFormat::Yuv420.byte_len(w as u32, h as u32));
-    let uncenter = |p: &[i16], out: &mut Vec<u8>| {
-        out.extend(p.iter().map(|&v| (v + 128).clamp(0, 255) as u8));
-    };
-    uncenter(&y, &mut data);
-    uncenter(&u, &mut data);
-    uncenter(&v, &mut data);
-    Frame::from_raw(w as u32, h as u32, PixelFormat::Yuv420, data)
+    let coder = PlaneCoder::new(w, h, DctParams::with_quant(quant_percent));
+    coder
+        .decode(&bytes[8..])?
+        .to_frame(w as u32, h as u32)
         .ok_or_else(|| CodecError::malformed("dct", "plane size mismatch"))
 }
 

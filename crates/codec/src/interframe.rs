@@ -23,10 +23,10 @@
 //! last frames are anchors encodes in exactly the paper's `1,4,2,3` order
 //! (see [`decode_order_indices`] and its test).
 
-use crate::dct::{decode_plane_i16, encode_plane_i16, quant_matrices, DctParams};
-use crate::{BitReader, BitWriter, CodecError};
+use crate::dct::{DctParams, PlaneCoder, Planes};
+use crate::CodecError;
 use tbm_core::{ElementDescriptor, StreamElement};
-use tbm_media::{Frame, PixelFormat};
+use tbm_media::Frame;
 
 /// Frame kinds in the GOP structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,109 +116,16 @@ pub struct EncodedSequence {
     pub frames: Vec<EncodedVideoFrame>,
 }
 
-/// The centered YUV planes of one frame.
-#[derive(Clone)]
-struct Planes {
-    y: Vec<i16>,
-    u: Vec<i16>,
-    v: Vec<i16>,
+fn diff(a: &Planes, b: &Planes) -> Planes {
+    a.zip(b, |x, y| x - y)
 }
 
-fn frame_to_planes(frame: &Frame) -> Planes {
-    let f = frame.to_format(PixelFormat::Yuv420);
-    let w = f.width() as usize;
-    let h = f.height() as usize;
-    let (cw, ch) = (w.div_ceil(2), h.div_ceil(2));
-    let d = f.data();
-    let n = w * h;
-    let center = |b: &[u8]| -> Vec<i16> { b.iter().map(|&x| x as i16 - 128).collect() };
-    Planes {
-        y: center(&d[..n]),
-        u: center(&d[n..n + cw * ch]),
-        v: center(&d[n + cw * ch..]),
-    }
-}
-
-fn planes_to_frame(p: &Planes, w: u32, h: u32) -> Frame {
-    let mut data = Vec::with_capacity(PixelFormat::Yuv420.byte_len(w, h));
-    for plane in [&p.y, &p.u, &p.v] {
-        data.extend(plane.iter().map(|&v| (v + 128).clamp(0, 255) as u8));
-    }
-    Frame::from_raw(w, h, PixelFormat::Yuv420, data).expect("plane sizes consistent")
-}
-
-fn diff(a: &[i16], b: &[i16]) -> Vec<i16> {
-    a.iter().zip(b).map(|(&x, &y)| x - y).collect()
-}
-
-fn add_clamped(base: &[i16], delta: &[i16]) -> Vec<i16> {
-    base.iter()
-        .zip(delta)
-        .map(|(&x, &y)| (x + y).clamp(-128, 127))
-        .collect()
+fn add_clamped(base: &Planes, delta: &Planes) -> Planes {
+    base.zip(delta, |x, y| (x + y).clamp(-128, 127))
 }
 
 fn average(a: &Planes, b: &Planes) -> Planes {
-    let avg = |x: &[i16], y: &[i16]| -> Vec<i16> {
-        x.iter()
-            .zip(y)
-            .map(|(&a, &b)| ((a as i32 + b as i32) / 2) as i16)
-            .collect()
-    };
-    Planes {
-        y: avg(&a.y, &b.y),
-        u: avg(&a.u, &b.u),
-        v: avg(&a.v, &b.v),
-    }
-}
-
-struct PlaneCoder {
-    w: usize,
-    h: usize,
-    cw: usize,
-    ch: usize,
-    lq: [i32; 64],
-    cq: [i32; 64],
-}
-
-impl PlaneCoder {
-    fn new(w: usize, h: usize, dct: DctParams) -> PlaneCoder {
-        let (lq, cq) = quant_matrices(dct);
-        PlaneCoder {
-            w,
-            h,
-            cw: w.div_ceil(2),
-            ch: h.div_ceil(2),
-            lq,
-            cq,
-        }
-    }
-
-    fn encode(&self, p: &Planes) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        encode_plane_i16(&p.y, self.w, self.h, &self.lq, &mut w);
-        encode_plane_i16(&p.u, self.cw, self.ch, &self.cq, &mut w);
-        encode_plane_i16(&p.v, self.cw, self.ch, &self.cq, &mut w);
-        w.into_bytes()
-    }
-
-    fn decode(&self, data: &[u8]) -> Result<Planes, CodecError> {
-        let mut r = BitReader::new(data);
-        Ok(Planes {
-            y: decode_plane_i16(&mut r, self.w, self.h, &self.lq)?,
-            u: decode_plane_i16(&mut r, self.cw, self.ch, &self.cq)?,
-            v: decode_plane_i16(&mut r, self.cw, self.ch, &self.cq)?,
-        })
-    }
-
-    /// Encode, then reconstruct as the decoder will see it (quantization in
-    /// the loop — references must be the *reconstructed* planes, or encoder
-    /// and decoder drift).
-    fn encode_recon(&self, p: &Planes) -> (Vec<u8>, Planes) {
-        let data = self.encode(p);
-        let recon = self.decode(&data).expect("own bitstream decodes");
-        (data, recon)
-    }
+    a.zip(b, |x, y| ((x as i32 + y as i32) / 2) as i16)
 }
 
 /// The display indices of a `count`-frame sequence in decode order.
@@ -272,7 +179,7 @@ pub fn encode_sequence(frames: &[Frame], params: GopParams) -> Result<EncodedSeq
     let step = params.b_frames + 1;
     let gop = params.gop_size.max(1);
 
-    let planes: Vec<Planes> = frames.iter().map(frame_to_planes).collect();
+    let planes: Vec<Planes> = frames.iter().map(Planes::of).collect();
     let mut out = Vec::with_capacity(frames.len());
 
     let mut prev_anchor_recon: Option<Planes> = None;
@@ -287,20 +194,12 @@ pub fn encode_sequence(frames: &[Frame], params: GopParams) -> Result<EncodedSeq
         };
         let target = match residual_base {
             None => planes[a].clone(),
-            Some(base) => Planes {
-                y: diff(&planes[a].y, &base.y),
-                u: diff(&planes[a].u, &base.u),
-                v: diff(&planes[a].v, &base.v),
-            },
+            Some(base) => diff(&planes[a], base),
         };
         let (data, recon_residual) = coder.encode_recon(&target);
         let recon = match residual_base {
             None => recon_residual,
-            Some(base) => Planes {
-                y: add_clamped(&base.y, &recon_residual.y),
-                u: add_clamped(&base.u, &recon_residual.u),
-                v: add_clamped(&base.v, &recon_residual.v),
-            },
+            Some(base) => add_clamped(base, &recon_residual),
         };
         out.push(EncodedVideoFrame {
             kind,
@@ -311,12 +210,7 @@ pub fn encode_sequence(frames: &[Frame], params: GopParams) -> Result<EncodedSeq
         if let (Some(pa), Some(pi)) = (prev_anchor_recon.as_ref(), prev_anchor_idx) {
             let interp = average(pa, &recon);
             for b in pi + 1..a {
-                let resid = Planes {
-                    y: diff(&planes[b].y, &interp.y),
-                    u: diff(&planes[b].u, &interp.u),
-                    v: diff(&planes[b].v, &interp.v),
-                };
-                let (bdata, _) = coder.encode_recon(&resid);
+                let bdata = coder.encode(&diff(&planes[b], &interp));
                 out.push(EncodedVideoFrame {
                     kind: FrameKind::B,
                     display_index: b,
@@ -331,17 +225,8 @@ pub fn encode_sequence(frames: &[Frame], params: GopParams) -> Result<EncodedSeq
     // Tail: P chain after the final anchor.
     if let (Some(mut last), Some(pi)) = (prev_anchor_recon, prev_anchor_idx) {
         for t in pi + 1..frames.len() {
-            let resid = Planes {
-                y: diff(&planes[t].y, &last.y),
-                u: diff(&planes[t].u, &last.u),
-                v: diff(&planes[t].v, &last.v),
-            };
-            let (data, recon_residual) = coder.encode_recon(&resid);
-            last = Planes {
-                y: add_clamped(&last.y, &recon_residual.y),
-                u: add_clamped(&last.u, &recon_residual.u),
-                v: add_clamped(&last.v, &recon_residual.v),
-            };
+            let (data, recon_residual) = coder.encode_recon(&diff(&planes[t], &last));
+            last = add_clamped(&last, &recon_residual);
             out.push(EncodedVideoFrame {
                 kind: FrameKind::P,
                 display_index: t,
@@ -376,11 +261,7 @@ pub fn decode_sequence(seq: &EncodedSequence) -> Result<Vec<Frame>, CodecError> 
                 let base = last_ref.as_ref().ok_or(CodecError::MissingReference {
                     wanted: ef.display_index,
                 })?;
-                Planes {
-                    y: add_clamped(&base.y, &residual.y),
-                    u: add_clamped(&base.u, &residual.u),
-                    v: add_clamped(&base.v, &residual.v),
-                }
+                add_clamped(base, &residual)
             }
             FrameKind::B => {
                 let (pa, ca) = match (prev_anchor.as_ref(), cur_anchor.as_ref()) {
@@ -391,12 +272,7 @@ pub fn decode_sequence(seq: &EncodedSequence) -> Result<Vec<Frame>, CodecError> 
                         })
                     }
                 };
-                let interp = average(pa, ca);
-                Planes {
-                    y: add_clamped(&interp.y, &residual.y),
-                    u: add_clamped(&interp.u, &residual.u),
-                    v: add_clamped(&interp.v, &residual.v),
-                }
+                add_clamped(&average(pa, ca), &residual)
             }
         };
         if ef.kind != FrameKind::B {
@@ -410,7 +286,8 @@ pub fn decode_sequence(seq: &EncodedSequence) -> Result<Vec<Frame>, CodecError> 
                 "display index out of range",
             ));
         }
-        display[ef.display_index] = Some(planes_to_frame(&recon, seq.width, seq.height));
+        let frame = recon.to_frame(seq.width, seq.height);
+        display[ef.display_index] = Some(frame.expect("plane sizes consistent"));
     }
     display
         .into_iter()
@@ -425,6 +302,7 @@ pub fn decode_sequence(seq: &EncodedSequence) -> Result<Vec<Frame>, CodecError> 
 mod tests {
     use super::*;
     use tbm_media::gen::VideoPattern;
+    use tbm_media::PixelFormat;
 
     fn clip(n: usize) -> Vec<Frame> {
         (0..n as u64)

@@ -86,7 +86,6 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct SegmentCache {
     budget: u64,
-    generation: u64,
     /// Resident segments in recency order, weighted by their length.
     lru: LruSlab<Vec<u8>>,
     hits: u64,
@@ -101,7 +100,6 @@ impl SegmentCache {
     pub fn new(budget_bytes: u64) -> SegmentCache {
         SegmentCache {
             budget: budget_bytes,
-            generation: 0,
             lru: LruSlab::new(),
             hits: 0,
             misses: 0,
@@ -143,20 +141,6 @@ impl SegmentCache {
         }
     }
 
-    /// Whether `span` of `blob` is resident (no counter or recency effect).
-    pub fn contains(&self, blob: BlobId, span: ByteSpan) -> bool {
-        self.lru.contains(&key(blob, span))
-    }
-
-    /// A counter that advances whenever the *set of resident spans* may
-    /// have changed (insert, eviction, budget shrink, clear). Cache-aware
-    /// admission uses it to decide when a session's residency-discounted
-    /// storage charge is stale and must be repriced — unchanged generation
-    /// means unchanged residency, so repricing can be skipped entirely.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Looks up a span, counting a hit (and refreshing its recency) or a
     /// miss. Returns the cached bytes on a hit.
     pub fn get(&mut self, blob: BlobId, span: ByteSpan) -> Option<&[u8]> {
@@ -180,21 +164,14 @@ impl SegmentCache {
         if data.len() as u64 > self.budget {
             return;
         }
-        // A genuinely new span changes the resident set; a refresh of an
-        // already-resident one does not.
-        if self.lru.insert(key(blob, span), data.len() as u64, data) {
-            self.generation += 1;
-        }
+        self.lru.insert(key(blob, span), data.len() as u64, data);
         self.insertions += 1;
         self.evict_to_budget();
     }
 
-    /// Evicts until the budget holds; each eviction changes the resident
-    /// set.
+    /// Evicts until the budget holds.
     fn evict_to_budget(&mut self) {
-        let evicted = self.lru.evict_to(self.budget);
-        self.evictions += evicted;
-        self.generation += evicted;
+        self.evictions += self.lru.evict_to(self.budget);
     }
 
     /// Replaces the byte budget mid-run, returning the previous one. A
@@ -218,9 +195,6 @@ impl SegmentCache {
 
     /// Drops every resident segment (counters are retained).
     pub fn clear(&mut self) {
-        if !self.lru.is_empty() {
-            self.generation += 1;
-        }
         self.lru.clear();
     }
 }
@@ -231,6 +205,10 @@ mod tests {
 
     fn span(offset: u64, len: u64) -> ByteSpan {
         ByteSpan::new(offset, len)
+    }
+
+    fn resident(c: &SegmentCache, blob: BlobId, span: ByteSpan) -> bool {
+        c.keys_lru_first().contains(&key(blob, span))
     }
 
     #[test]
@@ -279,9 +257,9 @@ mod tests {
         assert!(c.get(b, span(0, 4)).is_some());
         // 4 + 4 + 4 > 10: inserting a third evicts span(4, 4).
         c.insert(b, span(8, 4), vec![2; 4]);
-        assert!(c.contains(b, span(0, 4)));
-        assert!(!c.contains(b, span(4, 4)));
-        assert!(c.contains(b, span(8, 4)));
+        assert!(resident(&c, b, span(0, 4)));
+        assert!(!resident(&c, b, span(4, 4)));
+        assert!(resident(&c, b, span(8, 4)));
         assert_eq!(c.stats().evictions, 1);
         assert!(c.bytes_cached() <= 10);
     }
@@ -291,7 +269,7 @@ mod tests {
         let mut c = SegmentCache::new(8);
         let b = BlobId::new(1);
         c.insert(b, span(0, 16), vec![0; 16]);
-        assert!(!c.contains(b, span(0, 16)));
+        assert!(!resident(&c, b, span(0, 16)));
         assert_eq!(c.stats().insertions, 0);
         assert_eq!(c.bytes_cached(), 0);
     }
@@ -326,31 +304,12 @@ mod tests {
         c.insert(b, span(8, 4), vec![2; 4]);
         assert!(c.get(b, span(0, 4)).is_some(), "refresh recency of first");
         assert_eq!(c.set_budget(8), 12);
-        assert!(c.contains(b, span(0, 4)), "recently used survives");
-        assert!(!c.contains(b, span(4, 4)), "LRU victim of the shrink");
+        assert!(resident(&c, b, span(0, 4)), "recently used survives");
+        assert!(!resident(&c, b, span(4, 4)), "LRU victim of the shrink");
         assert!(c.bytes_cached() <= 8);
         assert_eq!(c.set_budget(64), 8, "returns the shrunk budget");
         c.insert(b, span(16, 16), vec![3; 16]);
-        assert!(c.contains(b, span(16, 16)), "grow takes effect at once");
-    }
-
-    #[test]
-    fn generation_tracks_resident_set_changes() {
-        let mut c = SegmentCache::new(8);
-        let b = BlobId::new(1);
-        assert_eq!(c.generation(), 0);
-        c.insert(b, span(0, 4), vec![0; 4]);
-        assert_eq!(c.generation(), 1, "new span advances");
-        c.insert(b, span(0, 4), vec![9; 4]);
-        assert_eq!(c.generation(), 1, "refresh does not");
-        assert!(c.get(b, span(0, 4)).is_some());
-        assert_eq!(c.generation(), 1, "hits do not");
-        c.insert(b, span(4, 8), vec![1; 8]);
-        assert_eq!(c.generation(), 3, "insert plus the eviction it forced");
-        c.clear();
-        assert_eq!(c.generation(), 4, "clear of a non-empty cache advances");
-        c.clear();
-        assert_eq!(c.generation(), 4, "clear of an empty cache does not");
+        assert!(resident(&c, b, span(16, 16)), "grow takes effect at once");
     }
 
     #[test]

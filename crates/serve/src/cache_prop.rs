@@ -6,8 +6,8 @@
 //!
 //! Random traces of `get` / `insert` (new, refresh, oversized, empty) /
 //! `set_budget` (shrink, grow, zero) / `clear` run through both. After
-//! every step the answer, the counters, `generation` and the resident keys
-//! *in recency order* must agree — and equal recency order before and after
+//! every step the answer, the counters and the resident keys *in recency
+//! order* must agree — and equal recency order before and after
 //! a step means the step evicted the same victims in the same order.
 
 use crate::{CacheStats, SegmentCache};
@@ -22,7 +22,6 @@ struct NaiveCache {
     budget: u64,
     bytes: u64,
     seq: u64,
-    generation: u64,
     entries: HashMap<SpanKey, (Vec<u8>, u64)>, // key -> (bytes, sequence)
     lru: BTreeMap<u64, SpanKey>,               // sequence -> key
     stats: CacheStats,
@@ -54,8 +53,6 @@ impl NaiveCache {
         if let Some((old, seq)) = self.entries.remove(&k) {
             self.lru.remove(&seq);
             self.bytes -= old.len() as u64;
-        } else {
-            self.generation += 1;
         }
         self.bytes += data.len() as u64;
         self.seq += 1;
@@ -71,7 +68,6 @@ impl NaiveCache {
             let (data, _) = self.entries.remove(&victim).expect("lru and entries agree");
             self.bytes -= data.len() as u64;
             self.stats.evictions += 1;
-            self.generation += 1;
         }
     }
 
@@ -82,9 +78,6 @@ impl NaiveCache {
     }
 
     fn clear(&mut self) {
-        if !self.entries.is_empty() {
-            self.generation += 1;
-        }
         self.entries.clear();
         self.lru.clear();
         self.bytes = 0;
@@ -166,7 +159,6 @@ proptest! {
             let order: Vec<SpanKey> = naive.lru.values().copied().collect();
             prop_assert_eq!(cache.keys_lru_first(), order, "step {}: {:?}", step, op);
             prop_assert_eq!(cache.stats(), naive.stats(), "step {}: {:?}", step, op);
-            prop_assert_eq!(cache.generation(), naive.generation);
             prop_assert_eq!(cache.bytes_cached(), naive.bytes);
             prop_assert_eq!(cache.budget(), naive.budget);
         }
@@ -192,7 +184,10 @@ fn generated_traces_reach_every_cache_path() {
                 }
                 Op::Insert(i, fill) => {
                     let (blob, span) = span_of(i);
-                    let resident = cache.contains(blob, span);
+                    let resident =
+                        cache
+                            .keys_lru_first()
+                            .contains(&(blob.raw(), span.offset, span.len));
                     cache.insert(blob, span, vec![fill; span.len as usize]);
                     let after = cache.stats();
                     refused += u64::from(after.insertions == before.insertions);

@@ -11,8 +11,7 @@
 //! 2. **admit degraded** — it does not, but the base-layer schedule of a
 //!    scalable stream does (§2.2: "bandwidth can be saved … by ignoring
 //!    parts of the storage unit");
-//! 3. **reject** — even the base layer would oversubscribe the server, or
-//!    the session limit is reached.
+//! 3. **reject** — even the base layer would oversubscribe the server.
 //!
 //! [`AdmissionPolicy::AdmitAll`] disables the gate (every session admitted
 //! at full fidelity) while keeping the same physical capacity — the
@@ -42,33 +41,19 @@ pub struct Capacity {
     pub decode_rate: u64,
     /// Fixed per-element dispatch overhead in microseconds.
     pub overhead_us: u64,
-    /// Hard cap on concurrently open sessions.
-    pub max_sessions: usize,
     /// Whether admission control is enforced.
     pub policy: AdmissionPolicy,
-    /// Whether admission prices storage demand against *expected* storage
-    /// load given current [`crate::SegmentCache`] residency. Off (the
-    /// default), storage and decode stages are both charged the schedule's
-    /// full demand. On, the storage stage is charged the demand discounted
-    /// by the fraction of the session's planned bytes already resident in
-    /// the cache — a hot object costs (almost) no storage bandwidth — while
-    /// the decode stage still pays in full, because cache hits skip the
-    /// fetch but not the decode.
-    pub cache_aware: bool,
 }
 
 impl Capacity {
     /// A capacity with the given storage bandwidth, free decoding, no
-    /// overhead, an effectively unlimited session count and admission
-    /// enforced.
+    /// overhead and admission enforced.
     pub fn new(storage_bandwidth: u64) -> Capacity {
         Capacity {
             storage_bandwidth: storage_bandwidth.max(1),
             decode_rate: 0,
             overhead_us: 0,
-            max_sessions: usize::MAX,
             policy: AdmissionPolicy::Enforce,
-            cache_aware: false,
         }
     }
 
@@ -84,24 +69,9 @@ impl Capacity {
         self
     }
 
-    /// Builder: caps concurrently open sessions.
-    pub fn with_max_sessions(mut self, max: usize) -> Capacity {
-        self.max_sessions = max;
-        self
-    }
-
     /// Builder: disables the admission gate (the uncontrolled baseline).
     pub fn admit_all(mut self) -> Capacity {
         self.policy = AdmissionPolicy::AdmitAll;
-        self
-    }
-
-    /// Builder: prices storage demand against expected cache residency
-    /// (see [`Capacity::cache_aware`]). Admitted sessions are repriced as
-    /// residency shifts, so a session admitted cheaply against a hot cache
-    /// is re-charged when its segments are evicted.
-    pub fn with_cache_aware_admission(mut self) -> Capacity {
-        self.cache_aware = true;
         self
     }
 
@@ -129,24 +99,23 @@ impl Capacity {
 
     /// The admission check: whether a session fits next to the demand
     /// already admitted, stage by stage. The storage stage is charged
-    /// `storage_demand` bytes/s on top of `committed_storage`, the decode
-    /// stage `decode_demand` on top of `committed_decode`; each stage's
-    /// total must stay within its rate (a decode rate of 0 is free). With
-    /// cache-aware admission the storage figures are residency-discounted
-    /// and decode pays in full; without it each pair coincides, since
-    /// bytes fetched are bytes decoded.
+    /// `storage_demand` bytes/s on top of `storage_committed`, the decode
+    /// stage `decode_demand` on top of `decode_committed`; each stage's
+    /// total must stay within its rate (a decode rate of 0 is free). The
+    /// server passes its one committed total and the session's demand to
+    /// both stages, since bytes fetched are bytes decoded.
     pub fn fits_staged(
         &self,
-        committed_storage: Rational,
-        committed_decode: Rational,
+        storage_committed: Rational,
+        decode_committed: Rational,
         storage_demand: Rational,
         decode_demand: Rational,
     ) -> bool {
-        if committed_storage + storage_demand > Rational::from(self.storage_bandwidth as i64) {
+        if storage_committed + storage_demand > Rational::from(self.storage_bandwidth as i64) {
             return false;
         }
         self.decode_rate == 0
-            || committed_decode + decode_demand <= Rational::from(self.decode_rate as i64)
+            || decode_committed + decode_demand <= Rational::from(self.decode_rate as i64)
     }
 
     /// The tighter of the two stage limits, in bytes per second.
@@ -207,11 +176,6 @@ pub enum RejectReason {
         /// Bytes/s of headroom left under the tighter stage limit.
         available_bps: u64,
     },
-    /// The concurrent-session cap is reached.
-    SessionLimit {
-        /// The configured cap.
-        max: usize,
-    },
 }
 
 impl fmt::Display for RejectReason {
@@ -224,9 +188,6 @@ impl fmt::Display for RejectReason {
                 f,
                 "saturated: demands {demanded_bps} B/s, {available_bps} B/s available"
             ),
-            RejectReason::SessionLimit { max } => {
-                write!(f, "session limit {max} reached")
-            }
         }
     }
 }
@@ -238,8 +199,8 @@ mod tests {
     #[test]
     fn fits_staged_reduces_to_fits_and_splits_stages() {
         let r = |n: i64| Rational::from(n);
-        // Equal figures on both stages, the cache-unaware case: the total
-        // must fit the tighter stage.
+        // Equal figures on both stages, as the server passes them: the
+        // total must fit the tighter stage.
         let fits = |cap: Capacity, c: i64, d: i64| cap.fits_staged(r(c), r(c), r(d), r(d));
         let cap = Capacity::new(1_000_000).with_decode_rate(800_000);
         for (c, d, fit) in [
@@ -261,24 +222,12 @@ mod tests {
         assert!(fits(free_decode, 0, 900_000));
         assert!(!fits(free_decode, 500_000, 600_000));
         assert_eq!(free_decode.service_rate(), 1_000_000);
-        // A fully resident session: storage stage charged 0, decode in full.
+        // Unequal figures: each stage is checked against its own rate.
         assert!(cap.fits_staged(r(950_000), r(0), r(0), r(700_000)));
-        // Decode still gates even when storage is free.
         assert!(!cap.fits_staged(r(950_000), r(200_000), r(0), r(700_000)));
         // Free decoding: only the storage stage exists.
         let free = Capacity::new(1_000_000);
         assert!(free.fits_staged(r(0), r(999_999_999), r(1_000_000), r(1)));
-    }
-
-    #[test]
-    fn cache_aware_flag_defaults_off() {
-        let cap = Capacity::new(1_000_000);
-        assert!(!cap.cache_aware);
-        assert!(cap.with_cache_aware_admission().cache_aware);
-        assert!(
-            cap.with_cache_aware_admission().derated(50).cache_aware,
-            "derating keeps the flag"
-        );
     }
 
     #[test]
@@ -298,10 +247,16 @@ mod tests {
         assert!(AdmitDecision::Admitted.is_admitted());
         assert!(AdmitDecision::Degraded { layers: 1 }.is_admitted());
         let rejected = AdmitDecision::Rejected {
-            reason: RejectReason::SessionLimit { max: 4 },
+            reason: RejectReason::Saturated {
+                demanded_bps: 300,
+                available_bps: 200,
+            },
         };
         assert!(!rejected.is_admitted());
-        assert_eq!(rejected.to_string(), "rejected (session limit 4 reached)");
+        assert_eq!(
+            rejected.to_string(),
+            "rejected (saturated: demands 300 B/s, 200 B/s available)"
+        );
     }
 
     #[test]

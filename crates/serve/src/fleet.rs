@@ -161,6 +161,12 @@ impl Link {
         self.partitions.iter().any(|&(f, t)| at >= f && at < t)
     }
 
+    /// Propagation plus transfer time of `bytes` over the link, in
+    /// microseconds: the delay before jitter, with no draw.
+    fn transit_us(&self, bytes: u64) -> u64 {
+        self.propagation_us + bytes.saturating_mul(1_000_000) / self.bandwidth
+    }
+
     /// One uniform draw in `[0, 1)` from the counted stream.
     fn draw_unit(&mut self) -> f64 {
         let h = splitmix64(self.seed ^ self.draws.wrapping_mul(0x2545_F491_4F6C_DD1D));
@@ -184,9 +190,8 @@ impl Link {
         if lost || self.partitioned_at(at) {
             return None;
         }
-        let transfer_us = bytes.saturating_mul(1_000_000) / self.bandwidth;
         Some(TimeDelta::from_micros(
-            (self.propagation_us + transfer_us + jitter) as i64,
+            (self.transit_us(bytes) + jitter) as i64,
         ))
     }
 }
@@ -1186,8 +1191,7 @@ impl<S: BlobStore> Fleet<S> {
                 .sum()
         };
         let bytes = meta_bytes + payload_bytes;
-        let link = &self.nodes[to].link;
-        let mut handoff_us = link.propagation_us + bytes.saturating_mul(1_000_000) / link.bandwidth;
+        let mut handoff_us = self.nodes[to].link.transit_us(bytes);
         if !self.nodes[from].up {
             handoff_us += DETECTION_US;
         }
@@ -1239,13 +1243,7 @@ impl<S: BlobStore> Fleet<S> {
                 (base.decode_rate / n).max(1)
             },
             overhead_us: base.overhead_us,
-            max_sessions: if base.max_sessions == usize::MAX {
-                usize::MAX
-            } else {
-                (base.max_sessions / n as usize).max(1)
-            },
             policy: base.policy,
-            cache_aware: base.cache_aware,
         };
         for s in hosted {
             self.shards.shards_mut()[s].set_capacity(split);

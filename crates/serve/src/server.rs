@@ -28,12 +28,10 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 use std::io;
 use std::ops::Range;
-use std::slice::SliceIndex;
 use std::sync::Arc;
 use tbm_blob::{BlobStore, MemBlobStore, RetryPolicy};
 use tbm_core::SessionId;
 use tbm_db::MediaDb;
-use tbm_interp::ElementEntry;
 use tbm_obs::{
     attribute, chrome_trace_to_writer, micros, AttributionReport, Attrs, Category, CounterId,
     GaugeId, HistogramId, MetricsRegistry, SpanId, TraceSnapshot, Tracer, ATTR_DECODE_US,
@@ -212,8 +210,6 @@ pub struct Server<S: BlobStore = MemBlobStore> {
     capacity: Capacity,
     cache: SegmentCache,
     sessions: Vec<Session>,
-    /// Sessions holding capacity (opened, playing or paused).
-    active: usize,
     /// Active sessions that are degraded and still have elements to play
     /// ([`Session::is_capped_live`]) — the only ones an upgrade pass can do
     /// anything for, so the pass is skipped while this is 0.
@@ -235,18 +231,9 @@ pub struct Server<S: BlobStore = MemBlobStore> {
     /// hosting node is down); the extra delay is attributed to `node-loss`
     /// rather than channel wait. [`TimePoint::ZERO`] when never stalled.
     stall_until: TimePoint,
-    /// Storage-stage admitted demand: the sum of every active session's
-    /// `charged` figure (residency-discounted under cache-aware admission,
-    /// equal to full demand otherwise).
+    /// Admitted demand: the sum of every active session's `demand`,
+    /// charged to the storage and the decode stage alike.
     committed: Rational,
-    /// Decode-stage admitted demand: the sum of every active session's
-    /// *full* demand. Cache hits skip the fetch but not the decode, so
-    /// this total is never residency-discounted. Identical to `committed`
-    /// when cache-aware admission is off.
-    committed_decode: Rational,
-    /// [`SegmentCache::generation`] at the last repricing pass; an
-    /// unchanged generation lets the pass be skipped entirely.
-    repriced_gen: u64,
     /// While set, [`Server::force_degrade`] is in effect: the automatic
     /// upgrade path leaves capped sessions alone (otherwise the very next
     /// served element would lift a remediation-forced cap right back).
@@ -272,7 +259,6 @@ impl<S: BlobStore> Server<S> {
             capacity,
             cache: SegmentCache::disabled(),
             sessions: Vec::new(),
-            active: 0,
             capped_live: 0,
             plans: HashMap::new(),
             session_base: 0,
@@ -281,8 +267,6 @@ impl<S: BlobStore> Server<S> {
             busy_until: TimePoint::ZERO,
             stall_until: TimePoint::ZERO,
             committed: Rational::ZERO,
-            committed_decode: Rational::ZERO,
-            repriced_gen: 0,
             upgrade_hold: false,
             forced: BTreeSet::new(),
             metrics,
@@ -614,35 +598,6 @@ impl<S: BlobStore> Server<S> {
         }
     }
 
-    /// What a session fetching the `pending` rows of `plan` at `demand`
-    /// bytes/s is charged on the storage stage. Under cache-aware
-    /// admission that is `demand` scaled by the fraction of those rows'
-    /// bytes *not* resident in the segment cache (a disabled cache holds
-    /// nothing); otherwise it is `demand`. Residency is probed with
-    /// [`SegmentCache::contains`], which touches neither recency nor the
-    /// hit/miss counters, so pricing a session never perturbs the cache
-    /// state other sessions see.
-    fn storage_charge<R>(&self, plan: &ObjectPlan, pending: R, demand: Rational) -> Rational
-    where
-        R: SliceIndex<[ElementEntry], Output = [ElementEntry]>,
-    {
-        if !self.capacity.cache_aware || !self.cache.is_enabled() {
-            return demand;
-        }
-        let (mut total, mut resident) = (0u64, 0u64);
-        for span in plan.spans_of(&plan.rows(&self.db)[pending]) {
-            total += span.len;
-            if self.cache.contains(plan.blob, span) {
-                resident += span.len;
-            }
-        }
-        if total == 0 {
-            demand
-        } else {
-            demand * Rational::new((total - resident) as i64, total as i64)
-        }
-    }
-
     // ------------------------------------------------------------------
     // Request handlers
     // ------------------------------------------------------------------
@@ -672,35 +627,17 @@ impl<S: BlobStore> Server<S> {
         // degraded path until the tier heals (they are upgraded back by
         // `try_upgrade_sessions`).
         let gate = self.capacity.derated(self.db.store().health_percent());
-        // Cache-aware admission prices the *storage* stage at the demand
-        // discounted by current residency; the decode stage always pays in
-        // full, since a cache hit skips the fetch but not the decode.
-        let charge_of = |plan: &ObjectPlan| self.storage_charge(plan, .., plan.unit_demand);
-        let fits = |plan: &ObjectPlan, charged: Rational| {
-            gate.fits_staged(
-                self.committed,
-                self.committed_decode,
-                charged,
-                plan.unit_demand,
-            )
+        let fits = |plan: &ObjectPlan| {
+            let demand = plan.unit_demand;
+            gate.fits_staged(self.committed, self.committed, demand, demand)
         };
-        let full_charge = charge_of(&full);
         let admitted = match self.capacity.policy {
-            AdmissionPolicy::AdmitAll => Ok((AdmitDecision::Admitted, full, full_charge)),
-            AdmissionPolicy::Enforce if self.active >= self.capacity.max_sessions => {
-                Err(RejectReason::SessionLimit {
-                    max: self.capacity.max_sessions,
-                })
-            }
-            AdmissionPolicy::Enforce if fits(&full, full_charge) => {
-                Ok((AdmitDecision::Admitted, full, full_charge))
-            }
-            AdmissionPolicy::Enforce => match base.map(|base| (charge_of(&base), base)) {
-                Some((charge, base)) if fits(&base, charge) => {
-                    Ok((AdmitDecision::Degraded { layers: 1 }, base, charge))
-                }
+            AdmissionPolicy::AdmitAll => Ok((AdmitDecision::Admitted, full)),
+            AdmissionPolicy::Enforce if fits(&full) => Ok((AdmitDecision::Admitted, full)),
+            AdmissionPolicy::Enforce => match base {
+                Some(base) if fits(&base) => Ok((AdmitDecision::Degraded { layers: 1 }, base)),
                 base => {
-                    let cheapest = base.map_or(full.unit_demand, |(_, b)| b.unit_demand);
+                    let cheapest = base.map_or(full.unit_demand, |b| b.unit_demand);
                     let headroom = Rational::from(gate.service_rate() as i64) - self.committed;
                     Err(RejectReason::Saturated {
                         demanded_bps: cheapest.floor().max(0) as u64,
@@ -710,7 +647,7 @@ impl<S: BlobStore> Server<S> {
             },
         };
 
-        let (decision, plan, charged) = match admitted {
+        let (decision, plan) = match admitted {
             Ok(admitted) => admitted,
             Err(reason) => {
                 self.metrics.inc_at(self.ids.rejected, 1);
@@ -739,8 +676,7 @@ impl<S: BlobStore> Server<S> {
             _ => (self.ids.admitted, "admitted"),
         };
         self.metrics.inc_at(counter, 1);
-        self.committed += charged;
-        self.committed_decode += demand;
+        self.committed += demand;
         self.tracer.event_with(
             "admission",
             Category::Admission,
@@ -750,11 +686,6 @@ impl<S: BlobStore> Server<S> {
             |a| {
                 a.put("object", object.to_owned());
                 a.put("verdict", verdict);
-                if gate.cache_aware {
-                    // Only under the flag, so off-flag traces stay
-                    // byte-identical.
-                    a.put("charged_bps", charged.floor().max(0) as u64);
-                }
             },
         );
         let span = self.tracer.begin_span_with(
@@ -776,14 +707,12 @@ impl<S: BlobStore> Server<S> {
             anchor_tick: 0,
             clock_base: None,
             demand,
-            charged,
             have_good: false,
             stats: SessionStats::default(),
             span,
             last_ready: TimePoint::ZERO,
             last_lateness_us: 0,
         };
-        self.active += 1;
         self.capped_live += session.is_capped_live() as usize;
         self.sessions.push(session);
         Ok(Response::Opened {
@@ -836,10 +765,8 @@ impl<S: BlobStore> Server<S> {
     fn retire(&mut self, idx: usize, state: SessionState) {
         let s = &mut self.sessions[idx];
         if s.is_active() {
-            self.active -= 1;
             self.capped_live -= s.is_capped_live() as usize;
-            self.committed -= s.charged;
-            self.committed_decode -= s.demand;
+            self.committed -= s.demand;
         }
         s.state = state;
     }
@@ -953,27 +880,22 @@ impl<S: BlobStore> Server<S> {
         let idx = self.slot_for(id, "SetRate", Session::is_active)?;
         let s = &self.sessions[idx];
         // Faster playback demands proportionally more bytes per second;
-        // re-run the admission check on the delta (residency-discounted on
-        // the storage stage under cache-aware admission).
+        // re-run the admission check on the delta.
         let new_demand = s.plan.unit_demand * Rational::new(num as i64, den as i64);
-        let new_charged = self.storage_charge(&s.plan, s.pending.clone(), new_demand);
-        let rest = self.committed - s.charged;
-        let rest_decode = self.committed_decode - s.demand;
+        let rest = self.committed - s.demand;
         if self.capacity.policy == AdmissionPolicy::Enforce
             && !self
                 .capacity
-                .fits_staged(rest, rest_decode, new_charged, new_demand)
+                .fits_staged(rest, rest, new_demand, new_demand)
         {
             return Ok(Response::RateSet {
                 session: id,
                 accepted: false,
             });
         }
-        self.committed = rest + new_charged;
-        self.committed_decode = rest_decode + new_demand;
+        self.committed = rest + new_demand;
         let s = &mut self.sessions[idx];
         s.demand = new_demand;
-        s.charged = new_charged;
         s.rate = (num, den);
         self.tracer.event_with(
             "session.rate",
@@ -1066,55 +988,19 @@ impl<S: BlobStore> Server<S> {
         shed_total
     }
 
-    /// Re-derives every active session's storage charge from current cache
-    /// residency — the "re-evaluate admitted sessions as residency shifts"
-    /// half of cache-aware admission. A session admitted cheaply against a
-    /// hot cache is re-charged when its segments are evicted, and one
-    /// admitted cold sheds charge as its spans become resident. Skipped in
-    /// one integer compare unless the cache's resident set actually changed
-    /// since the last pass ([`SegmentCache::generation`]).
-    fn reprice_sessions(&mut self) {
-        // No is_enabled() gate: disabling the cache mid-run (budget 0)
-        // evicts everything, and the sessions priced against residency
-        // must be re-charged full demand — storage_charge reads a
-        // disabled cache as zero-resident. A never-enabled cache stays at
-        // generation 0 and returns below.
-        let generation = self.cache.generation();
-        if generation == self.repriced_gen {
-            return;
-        }
-        self.repriced_gen = generation;
-        for idx in 0..self.sessions.len() {
-            let s = &self.sessions[idx];
-            if !s.is_active() {
-                continue;
-            }
-            let new_charged = self.storage_charge(&s.plan, s.pending.clone(), s.demand);
-            let s = &mut self.sessions[idx];
-            if new_charged != s.charged {
-                self.committed = self.committed - s.charged + new_charged;
-                s.charged = new_charged;
-            }
-        }
-    }
-
     /// Moves slot `idx` onto `plan` — its object's other fidelity — at
-    /// `at`: the session's demand and storage charge are re-priced, and its
+    /// `at`: the session's demand is re-priced, and its
     /// remaining elements re-anchored and requeued under the new byte
     /// demands (queued jobs of the old epoch go stale, exactly as for
     /// Seek/SetRate). Recorded as a `name` trace event.
     fn replan(&mut self, idx: usize, plan: Arc<ObjectPlan>, at: TimePoint, name: &'static str) {
         let (num, den) = self.sessions[idx].rate;
         let new_demand = plan.unit_demand * Rational::new(num as i64, den as i64);
-        let new_charged =
-            self.storage_charge(&plan, self.sessions[idx].pending.clone(), new_demand);
         let s = &mut self.sessions[idx];
         let was = s.is_capped_live();
-        self.committed = self.committed - s.charged + new_charged;
-        self.committed_decode = self.committed_decode - s.demand + new_demand;
+        self.committed = self.committed - s.demand + new_demand;
         s.plan = plan;
         s.demand = new_demand;
-        s.charged = new_charged;
         self.capped_live = self.capped_live - was as usize + s.is_capped_live() as usize;
         let remaining = s.pending.len();
         self.tracer
@@ -1138,12 +1024,6 @@ impl<S: BlobStore> Server<S> {
     /// up without a session event — and costs one compare while no session
     /// is capped.
     fn try_upgrade_sessions(&mut self, now: TimePoint) {
-        // If cache residency shifted since the last pass, reprice every
-        // active session's storage charge first, so the upgrade checks
-        // below — and the next admissions — see current headroom.
-        if self.capacity.cache_aware && self.capacity.policy == AdmissionPolicy::Enforce {
-            self.reprice_sessions();
-        }
         if self.upgrade_hold {
             return; // a forced degradation is in effect; nothing lifts it
         }
@@ -1164,16 +1044,11 @@ impl<S: BlobStore> Server<S> {
             let full = &self.plans[&s.plan.object].full;
             let (num, den) = s.rate;
             let new_demand = full.unit_demand * Rational::new(num as i64, den as i64);
-            // Upgrades gate at the full, undiscounted demand even under
-            // cache-aware admission (conservative: the layers an upgrade
-            // adds are exactly the ones least likely to be resident);
-            // the charge actually booked by `replan` is discounted.
-            if self.capacity.fits_staged(
-                self.committed - s.charged,
-                self.committed_decode - s.demand,
-                new_demand,
-                new_demand,
-            ) {
+            let rest = self.committed - s.demand;
+            if self
+                .capacity
+                .fits_staged(rest, rest, new_demand, new_demand)
+            {
                 let full = Arc::clone(full);
                 self.metrics.inc_at(self.ids.upgraded, 1);
                 self.replan(idx, full, now, "session.upgrade");
@@ -1247,12 +1122,6 @@ impl<S: BlobStore> Server<S> {
         let prev = self.cache.set_budget(budget_bytes);
         self.metrics
             .set_gauge_at(self.ids.cache_bytes, self.cache.bytes_cached() as i64);
-        // A shrink can evict spans that admitted sessions were priced
-        // against; re-charge them right away so the very next admission
-        // sees honest headroom.
-        if self.capacity.cache_aware && self.capacity.policy == AdmissionPolicy::Enforce {
-            self.reprice_sessions();
-        }
         debug_assert_eq!(self.check_invariants(), Ok(()));
         prev
     }
@@ -1260,10 +1129,9 @@ impl<S: BlobStore> Server<S> {
     /// Recounts everything the server keeps a running tally of, and checks
     /// the structural invariants the event loop relies on:
     ///
-    /// * `active` and `capped_live` equal a recount of the session table;
-    /// * capacity conservation on both stages — `committed` is the sum of
-    ///   the active sessions' `charged`, `committed_decode` of their
-    ///   `demand`;
+    /// * `capped_live` equals a recount of the session table;
+    /// * capacity conservation — `committed` is the sum of the active
+    ///   sessions' `demand`;
     /// * every session's `pending` lies inside its plan, only an active
     ///   session has anything pending, and a playing session has work;
     /// * a playing session has exactly one live heap entry — its first
@@ -1274,8 +1142,8 @@ impl<S: BlobStore> Server<S> {
     /// under `debug_assert!` after every public mutation; storm tests call
     /// it explicitly.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let (mut active, mut capped_live) = (0usize, 0usize);
-        let (mut charged, mut demand) = (Some(Rational::ZERO), Some(Rational::ZERO));
+        let mut capped_live = 0usize;
+        let mut demand = Some(Rational::ZERO);
         for s in &self.sessions {
             let id = s.id;
             let p = &s.pending;
@@ -1290,29 +1158,21 @@ impl<S: BlobStore> Server<S> {
                 return Err(format!("{id}: playing with nothing pending"));
             }
             if s.is_active() {
-                active += 1;
                 capped_live += s.is_capped_live() as usize;
                 // An overflowing recount proves nothing either way.
-                charged = charged.and_then(|sum| sum.checked_add(s.charged).ok());
                 demand = demand.and_then(|sum| sum.checked_add(s.demand).ok());
             }
         }
-        if (active, capped_live) != (self.active, self.capped_live) {
+        if capped_live != self.capped_live {
             return Err(format!(
-                "tallies say {} active / {} capped-live, the table {active} / {capped_live}",
-                self.active, self.capped_live
+                "the tally says {} capped-live, the table {capped_live}",
+                self.capped_live
             ));
         }
-        if charged.is_some_and(|sum| sum != self.committed) {
+        if demand.is_some_and(|sum| sum != self.committed) {
             return Err(format!(
-                "committed {} but sessions are charged {charged:?}",
+                "committed {} but sessions demand {demand:?}",
                 self.committed
-            ));
-        }
-        if demand.is_some_and(|sum| sum != self.committed_decode) {
-            return Err(format!(
-                "committed_decode {} but sessions demand {demand:?}",
-                self.committed_decode
             ));
         }
 

@@ -241,15 +241,6 @@ impl ObjectPlan {
             .map(move |(li, &span)| (span, checksum(li)))
     }
 
-    /// The spans every one of `rows` fetches.
-    pub(crate) fn spans_of<'a>(
-        &'a self,
-        rows: &'a [ElementEntry],
-    ) -> impl Iterator<Item = ByteSpan> + 'a {
-        rows.iter()
-            .flat_map(|row| self.layers_of(row).map(|(span, _)| span))
-    }
-
     /// What a seek to `to` on the stream's unit-rate timeline leaves
     /// pending: the suffix of rows due at or after `to`. A row is due
     /// `start − first start` ticks in, so it lies before `to` exactly when
@@ -296,12 +287,6 @@ pub struct Session {
     pub(crate) clock_base: Option<TimePoint>,
     /// Bytes/s currently committed (the plan's unit demand × rate).
     pub(crate) demand: Rational,
-    /// Bytes/s currently charged against the *storage* stage. Equal to
-    /// `demand` unless cache-aware admission is on, in which case it is
-    /// `demand` discounted by the fraction of the session's planned bytes
-    /// resident in the segment cache — and it is repriced as residency
-    /// shifts (see `Server::reprice_sessions`).
-    pub(crate) charged: Rational,
     /// Whether any element was presented intact (for the repeat ladder).
     pub(crate) have_good: bool,
     pub(crate) stats: SessionStats,
@@ -355,13 +340,6 @@ impl Session {
     /// Bytes/s this session commits against the server's capacity.
     pub fn demand_bps(&self) -> Rational {
         self.demand
-    }
-
-    /// Bytes/s currently charged against the storage stage —
-    /// [`Session::demand_bps`] discounted by segment-cache residency when
-    /// cache-aware admission is on, identical to it otherwise.
-    pub fn charged_bps(&self) -> Rational {
-        self.charged
     }
 
     /// Statistics so far.

@@ -84,14 +84,25 @@ once '.lock()' crates/obs/src/tracer.rs
 once 'thread::scope' crates/*/src
 
 echo "==> knob audit"
-# A public builder or setter that nothing outside its crate sets is a
-# constant, not an option: tests, examples, `exp_*`, the other crates and
-# `perf` all count as callers. `audit CRATE FILE...` checks the FILEs'.
+# A public builder or setter that no traffic outside its crate sets is a
+# constant, not an option: examples, `exp_*`, the other crates and `perf`
+# count as callers; tests and comment lines do not. `audit CRATE FILE...`
+# checks the FILEs'. The allowlisted knobs have their traffic elsewhere:
+# * set_cache_budget — `Fleet::set_cache_budget_all` (the remediation
+#   plane's `GrowCache` action) calls it in its own crate;
+# * with_actions — the telemetry sampler builds every `IncidentReport`
+#   with it in its own crate;
+# * with_crash, with_partition — fault scripts (`NodeFaultPlan`, `Link`);
+#   their traffic is the fleet storm tests.
+allowed_knobs=' set_cache_budget with_actions with_crash with_partition '
 unset_knobs=0
 audit() {
     local knob
     for knob in $(grep -ohE 'pub fn (with|set)_[a-z_]+' "${@:2}" | awk '{print $3}' | sort -u); do
-        grep -rqE "[.:]$knob\(" --include='*.rs' --exclude-dir="$1" tests examples crates ||
+        [[ "$allowed_knobs" == *" $knob "* ]] && continue
+        callers="$(grep -rhE "[.:]$knob\(" --include='*.rs' --exclude-dir="$1" \
+            --exclude-dir=tests examples crates | grep -vE '^\s*//' || true)"
+        [ -n "$callers" ] ||
             { echo "knob audit: $knob has no call site outside crates/$1/src" >&2; unset_knobs=1; }
     done
 }

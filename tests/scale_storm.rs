@@ -1,14 +1,13 @@
 //! Scaling storm: the parallel shard pool's determinism contract and
-//! cache-aware admission, end to end.
+//! admission against a warm cache, end to end.
 //!
 //! * Same seed, same requests ⇒ byte-identical stats and rendered metrics
 //!   at ANY worker count (1, 2, 4, 8) — the contract DESIGN §16 spells
 //!   out — and, traced, byte-identical Chrome traces with the stores'
 //!   fault events in the one timeline, because a traced drive is
 //!   sequential.
-//! * Cache-aware admission: an object resident in the segment cache admits
-//!   sessions its cold twin would bounce, the decode stage still gates at
-//!   full demand, and evictions re-charge admitted sessions.
+//! * Admission charges every session its full demand: a warm segment
+//!   cache changes no decision, and the decode stage gates on its own.
 
 use tbm::obs::{Tracer, ELEMENT_SPAN};
 use tbm::prelude::*;
@@ -139,7 +138,7 @@ fn staged_drain_matches_sequential() {
 }
 
 // ---------------------------------------------------------------------------
-// Cache-aware admission
+// Admission against a warm cache
 // ---------------------------------------------------------------------------
 
 /// One scalable movie in a clean in-memory catalog.
@@ -190,54 +189,12 @@ fn open(server: &mut Server<MemBlobStore>, at: TimePoint) -> (Option<SessionId>,
 }
 
 #[test]
-fn hot_object_admits_where_cold_object_bounces() {
-    let d = full_demand(&movie()) as i64;
-    let two_sessions = Capacity::new(2 * d as u64 + 1);
-
-    // Cold control: no cache residency to discount against. The warmed-up
-    // session has finished (capacity released), so two more fit and the
-    // fourth open bounces off the full-fidelity path.
-    let mut cold = Server::new(movie(), two_sessions.with_cache_aware_admission());
-    warm_cache(&mut cold);
-    cold.set_cache_budget(0); // drop residency, keep everything else equal
-    let decisions: Vec<AdmitDecision> = (0..3).map(|_| open(&mut cold, t(100_000)).1).collect();
-    assert_eq!(decisions[0], AdmitDecision::Admitted);
-    assert_eq!(decisions[1], AdmitDecision::Admitted);
-    assert!(
-        !matches!(decisions[2], AdmitDecision::Admitted),
-        "third cold session must not fit at full fidelity: {decisions:?}"
-    );
-
-    // Hot: the same storm against a warmed cache. Every planned span is
-    // resident, the storage stage is charged zero, and all three admit at
-    // full fidelity.
-    let mut hot =
-        Server::new(movie(), two_sessions.with_cache_aware_admission()).with_cache_budget(64 << 20);
-    warm_cache(&mut hot);
-    for i in 0..3 {
-        let (_, decision) = open(&mut hot, t(100_000));
-        assert_eq!(
-            decision,
-            AdmitDecision::Admitted,
-            "hot session {i} must admit at full fidelity"
-        );
-    }
-    assert_eq!(
-        hot.stats().committed_bps,
-        0,
-        "fully resident sessions charge the storage stage nothing"
-    );
-}
-
-#[test]
 fn decode_stage_still_gates_fully_resident_sessions() {
-    // Cache hits skip the fetch but not the decode: with the decode stage
-    // sized for two sessions, the third bounces even though its storage
-    // charge is zero.
+    // Cache hits skip the fetch but not the decode: with storage sized for
+    // three sessions and the decode stage for two, the third bounces off
+    // the decode stage even though every span it plans is resident.
     let d = full_demand(&movie());
-    let capacity = Capacity::new(2 * d + 1)
-        .with_decode_rate(2 * d + 1)
-        .with_cache_aware_admission();
+    let capacity = Capacity::new(3 * (d + 1)).with_decode_rate(2 * d + 1);
     let mut server = Server::new(movie(), capacity).with_cache_budget(64 << 20);
     warm_cache(&mut server);
     let decisions: Vec<AdmitDecision> = (0..3).map(|_| open(&mut server, t(100_000)).1).collect();
@@ -250,47 +207,9 @@ fn decode_stage_still_gates_fully_resident_sessions() {
 }
 
 #[test]
-fn eviction_reprices_admitted_sessions() {
-    let d = full_demand(&movie());
-    let capacity = Capacity::new(3 * d / 2 + 1).with_cache_aware_admission();
-
-    // Hot twin: a second session admitted against residency stays cheap,
-    // so a third still fits.
-    let mut stays_hot = Server::new(movie(), capacity).with_cache_budget(64 << 20);
-    warm_cache(&mut stays_hot);
-    let (_, b) = open(&mut stays_hot, t(100_000));
-    assert_eq!(b, AdmitDecision::Admitted);
-    assert_eq!(stays_hot.stats().committed_bps, 0, "hot session charges 0");
-    let (_, c) = open(&mut stays_hot, t(100_000));
-    assert_eq!(c, AdmitDecision::Admitted);
-
-    // Evicted twin: identical up to the second admission, then the cache
-    // is dropped. The admitted session is re-charged its full demand on
-    // the spot, and the third open now bounces.
-    let mut evicted = Server::new(movie(), capacity).with_cache_budget(64 << 20);
-    warm_cache(&mut evicted);
-    let (_, b) = open(&mut evicted, t(100_000));
-    assert_eq!(b, AdmitDecision::Admitted);
-    assert_eq!(evicted.stats().committed_bps, 0);
-    evicted.set_cache_budget(0);
-    assert!(
-        evicted.stats().committed_bps >= d.saturating_sub(1),
-        "eviction must re-charge the resident session its full demand, got {}",
-        evicted.stats().committed_bps
-    );
-    let (_, c) = open(&mut evicted, t(100_000));
-    assert!(
-        !matches!(c, AdmitDecision::Admitted),
-        "repriced headroom must bounce the full-fidelity open: {c:?}"
-    );
-    stays_hot.check_invariants().unwrap();
-    evicted.check_invariants().unwrap();
-}
-
-#[test]
-fn cache_aware_flag_off_is_inert() {
-    // The flag defaults off, and the warmed-up storm then prices exactly
-    // like the cold one: residency is never consulted.
+fn a_warm_cache_never_changes_admission() {
+    // Admission charges full demand whatever is resident: the warmed-up
+    // storm prices exactly like a cold one.
     let d = full_demand(&movie());
     let mut server = Server::new(movie(), Capacity::new(2 * d + 1)).with_cache_budget(64 << 20);
     warm_cache(&mut server);
@@ -299,7 +218,7 @@ fn cache_aware_flag_off_is_inert() {
     assert_eq!(decisions[1], AdmitDecision::Admitted);
     assert!(
         !matches!(decisions[2], AdmitDecision::Admitted),
-        "off-flag admission must ignore the warm cache: {decisions:?}"
+        "admission must ignore the warm cache: {decisions:?}"
     );
 }
 

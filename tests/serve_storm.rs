@@ -3,7 +3,7 @@
 //! invariant of the serving stack checked in one run.
 
 use tbm::prelude::*;
-use tbm::serve::{AdmitDecision, RejectReason, Request, Response, Server, ServerStats};
+use tbm::serve::{AdmitDecision, Server, ServerStats};
 use tbm_bench::scenario::{self, movie_db, open_play, t, wave};
 
 const VIEWERS: usize = 10;
@@ -214,51 +214,4 @@ fn cache_off_reads_strictly_more_storage() {
         cached.storage_bytes_read,
         uncached.storage_bytes_read
     );
-}
-
-#[test]
-fn session_cap_rejects_with_session_limit_until_a_slot_frees() {
-    // Bandwidth for everyone, slots for two: the third Open bounces off
-    // the session cap, not off saturation, and a Close frees the slot.
-    let db = faulty_db(3);
-    let capacity = Capacity::new(demand(&db, None) * 100).with_max_sessions(2);
-    let mut server = Server::new(db, capacity);
-    let open = |server: &mut Server<_>| {
-        let Response::Opened { session, decision } = server
-            .request(
-                t(0),
-                Request::Open {
-                    object: "video1".into(),
-                },
-            )
-            .unwrap()
-        else {
-            panic!("Open answers Opened");
-        };
-        (session, decision)
-    };
-    let (first, d1) = open(&mut server);
-    let (_, d2) = open(&mut server);
-    assert_eq!((d1, d2), (AdmitDecision::Admitted, AdmitDecision::Admitted));
-    let (none, d3) = open(&mut server);
-    assert_eq!(
-        d3,
-        AdmitDecision::Rejected {
-            reason: RejectReason::SessionLimit { max: 2 }
-        }
-    );
-    assert!(none.is_none());
-    assert_eq!(server.stats().rejected, 1);
-
-    server
-        .request(
-            t(0),
-            Request::Close {
-                session: first.unwrap(),
-            },
-        )
-        .unwrap();
-    let (_, d4) = open(&mut server);
-    assert_eq!(d4, AdmitDecision::Admitted, "a closed session frees a slot");
-    server.check_invariants().unwrap();
 }
